@@ -100,6 +100,8 @@ class PiController(_ControllerBase):
 
     def __init__(self, spec: ControllerSpec):
         self.Kp, self.Ki = pi_gains(spec.core, spec.epsilon)
+        self._neg_Kp = -self.Kp
+        self._anti_windup = spec.anti_windup
         super().__init__(spec)
         self._last_u = np.zeros(spec.core.m)
 
@@ -108,11 +110,11 @@ class PiController(_ControllerBase):
         return self.m
 
     def unsat_output(self, t: float, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return -self.Kp @ x - s
+        return self._neg_Kp @ x - s
 
     def derivative(self, t, s, x, u_applied) -> np.ndarray:
         dz = self.Ki @ x
-        if self.spec.anti_windup:
+        if self._anti_windup:
             # conditional integration: freeze channels pushing further into
             # an already-saturated output
             u_unsat = self.unsat_output(t, s, x)
@@ -151,6 +153,10 @@ class ObserverController(_ControllerBase):
         self.CtB = core.CtB
         self.CtB_inv = np.linalg.inv(core.CtB)
         self.lam = core.lam_diag
+        self._Ct = core.C.T
+        self._neg_CtB_inv = -self.CtB_inv
+        self._neg_lam = -self.lam
+        self._lam_minus_inv_eps = self.lam - 1.0 / spec.epsilon
         super().__init__(spec)
         self._last_u = np.zeros(spec.core.m)
 
@@ -159,27 +165,23 @@ class ObserverController(_ControllerBase):
         return 2 * self.m
 
     def unsat_output(self, t: float, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        y = self.core.C.T @ x
-        return self._u_from_y(s, y)
+        return self._u_from_y(s, self._Ct @ x)
 
     def _u_from_y(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
         m = self.m
-        yp, w = s[:m], s[m:]
-        d_hat = y - yp
-        filt = d_hat / self.eps + (self.lam - 1.0 / self.eps) * w
-        return -self.CtB_inv @ filt
+        filt = (y - s[:m]) / self.eps + self._lam_minus_inv_eps * s[m:]
+        return self._neg_CtB_inv @ filt
 
     def derivative(self, t, s, x, u_applied) -> np.ndarray:
-        y = self.core.C.T @ x
-        return self._deriv_from_y(s, y, u_applied)
+        return self._deriv_from_y(s, self._Ct @ x, u_applied)
 
     def _deriv_from_y(self, s, y, u_applied) -> np.ndarray:
         m = self.m
         yp, w = s[:m], s[m:]
         d_hat = y - yp
-        dyp = -self.lam * yp + self.CtB @ u_applied
+        dyp = self._neg_lam * yp + self.CtB @ u_applied
         dw = (d_hat - w) / self.eps
-        return np.concatenate([dyp, dw])
+        return np.concatenate((dyp, dw))
 
     def step_observer(self, y: np.ndarray, dt: float) -> np.ndarray:
         """Advance observer and filter by dt (y held) and return saturated u."""

@@ -305,8 +305,10 @@ def dead_zone(mu: float):
 def delayed_input_lti(tau: float, **synthetic_kwargs) -> UncertainPlant:
     """Synthetic plant whose input map sees u(t - tau).
 
-    Used to demonstrate that an aggressive filter constant destabilizes a
-    delayed loop while a conservative one stays bounded.
+    The simulator feeds h with u = 0 before t = tau, and after that with
+    the linear interpolation of the input samples taken at the step
+    points. Used to demonstrate that an aggressive filter constant
+    destabilizes a delayed loop while a conservative one stays bounded.
     """
     if tau <= 0:
         raise ValueError("delay must be positive")

@@ -3,7 +3,10 @@
 Classical RK4 on the augmented state (plant + controller + the primary
 output y_p, and optionally the secondary output y_s). Saturation is
 applied inside the derivative evaluation, so the plant always sees the
-clamped input. Deterministic: identical configs give identical traces.
+clamped input. Each of the four stages of a step evaluates the
+controller output once; the first stage, at the step point, doubles as
+the recorded sample u(t_k) and its saturation flag. Deterministic:
+identical configs give identical traces.
 """
 
 from __future__ import annotations
@@ -72,6 +75,15 @@ def simulate(
 ) -> Trace:
     """Integrate the closed loop and return the recorded Trace.
 
+    The sample recorded at a step point t_k = k dt is the k1 stage of the
+    step that leaves t_k; only the last sample needs an output evaluation
+    of its own.
+
+    With an input delay tau > 0, h receives u(t - tau): zero before
+    t = tau, and after that the linear interpolation of the step-point
+    samples u(k dt). The sample u(t_k) enters that history before any
+    stage of the step from t_k reads it, which matters when tau < dt.
+
     Raises NonFiniteState (carrying the truncated trace and blow-up time)
     if the augmented state leaves the finite range.
     """
@@ -83,8 +95,11 @@ def simulate(
         raise ValueError(f"x0 must have length {n}")
 
     ctrl = make_controller(controller)
+    unsat_output, ctrl_derivative = ctrl.unsat_output, ctrl.derivative
     q = ctrl.state_dim
+    nq, nqm = n + q, n + q + m
     dt = simcfg.dt
+    half, sixth = dt / 2, dt / 6
     nsteps = int(round(simcfg.t_final / dt))
 
     lam_fast = float(np.max(np.abs(np.linalg.eigvals(core.A))))
@@ -95,31 +110,25 @@ def simulate(
         )
 
     A0, B = plant.A0, plant.B
-    Ct = core.C.T
     CtB = core.CtB
     Kt = core.K.T
-    lam = core.lam_diag
+    neg_lam = -core.lam_diag
     u_min, u_max = controller.u_min, controller.u_max
     h, sig = plant.h, plant.sigma
-
-    delay_steps = 0
-    u_hist: list[np.ndarray] = []
-    if plant.input_delay > 0:
-        delay_steps = max(int(round(plant.input_delay / dt)), 1)
+    tau = plant.input_delay
+    u_hist: list[np.ndarray] = []  # u(k dt), k = 0, 1, ...; kept only when tau > 0
 
     # augmented layout: [x (n), controller (q), y_p (m), (y_s (m))]
-    dim = n + q + m + (m if with_decomposition else 0)
+    dim = nqm + (m if with_decomposition else 0)
     s = np.zeros(dim)
     s[:n] = simcfg.x0
-    s[n : n + q] = ctrl.initial_state()
+    s[n:nq] = ctrl.initial_state()
     if with_decomposition:
-        s[n + q + m :] = Ct @ simcfg.x0  # y_s(0) = C^T x0; y_p(0) = 0
+        s[nqm:] = core.C.T @ simcfg.x0  # y_s(0) = C^T x0; y_p(0) = 0
 
-    def delayed_u(t: float, u_now: np.ndarray) -> np.ndarray:
-        if delay_steps == 0:
-            return u_now
-        tq = t - plant.input_delay
-        if tq <= 0.0 or not u_hist:
+    def delayed_u(t: float) -> np.ndarray:
+        tq = t - tau
+        if tq <= 0.0:
             return np.zeros(m)
         i = tq / dt
         i0 = min(int(i), len(u_hist) - 1)
@@ -127,73 +136,68 @@ def simulate(
         frac = i - i0
         return u_hist[i0] * (1 - frac) + u_hist[i1] * frac
 
-    def deriv(t: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    def deriv(t: float, s: np.ndarray, step_point: bool = False):
+        """Closed-loop derivative at (t, s), with the saturated and raw u."""
         x = s[:n]
-        sc = s[n : n + q]
-        yp = s[n + q : n + q + m]
-        u_unsat = ctrl.unsat_output(t, sc, x)
+        sc = s[n:nq]
+        u_unsat = unsat_output(t, sc, x)
         u = np.minimum(np.maximum(u_unsat, u_min), u_max)
-        sat = bool(np.any(u != u_unsat))
-        u_h = delayed_u(t, u)
-        hv = h(t, u_h, x)
+        if tau:
+            if step_point:
+                u_hist.append(u)
+            hv = h(t, delayed_u(t), x)
+        else:
+            hv = h(t, u, x)
         sv = sig(t, x)
-        ds = np.empty(dim)
-        ds[:n] = A0 @ x + B @ (hv + sv)
-        ds[n : n + q] = ctrl.derivative(t, sc, x, u)
-        ds[n + q : n + q + m] = -lam * yp + CtB @ u
+        dx = A0 @ x + B @ (hv + sv)
+        dc = ctrl_derivative(t, sc, x, u)
+        dyp = neg_lam * s[nq:nqm] + CtB @ u
         if with_decomposition:
-            ys = s[n + q + m :]
-            ds[n + q + m :] = -lam * ys + CtB @ (-u + hv - Kt @ x + sv)
-        return ds, u, sat
+            dys = neg_lam * s[nqm:] + CtB @ (-u + hv - Kt @ x + sv)
+            return np.concatenate((dx, dc, dyp, dys)), u, u_unsat
+        return np.concatenate((dx, dc, dyp)), u, u_unsat
 
     stride = simcfg.record_stride
-    rec_t = [0.0]
-    rec_s = [s.copy()]
-    rec_u = []
-    rec_sat = []
+    nrec = nsteps // stride + 1
+    rec_s = np.empty((nrec, dim))
+    rec_u = np.empty((nrec, m))
+    rec_sat = np.empty(nrec, dtype=bool)
 
-    def record_u(t, s):
-        u_unsat = ctrl.unsat_output(t, s[n : n + q], s[:n])
-        u = np.minimum(np.maximum(u_unsat, u_min), u_max)
-        return u, bool(np.any(u != u_unsat))
-
-    u0, sat0 = record_u(0.0, s)
-    rec_u.append(u0)
-    rec_sat.append(sat0)
-    if delay_steps:
-        u_hist.append(u0)
+    def record(j: int, s: np.ndarray, u: np.ndarray, u_unsat: np.ndarray) -> None:
+        rec_s[j] = s
+        rec_u[j] = u
+        rec_sat[j] = np.any(u != u_unsat)
 
     t = 0.0
     blowup_time = None
     for k in range(nsteps):
-        k1, _, _ = deriv(t, s)
-        k2, _, _ = deriv(t + dt / 2, s + (dt / 2) * k1)
-        k3, _, _ = deriv(t + dt / 2, s + (dt / 2) * k2)
-        k4, _, _ = deriv(t + dt, s + dt * k3)
-        s = s + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1, u, u_unsat = deriv(t, s, True)
+        if k % stride == 0:
+            record(k // stride, s, u, u_unsat)
+        k2 = deriv(t + half, s + half * k1)[0]
+        k3 = deriv(t + half, s + half * k2)[0]
+        k4 = deriv(t + dt, s + dt * k3)[0]
+        s = s + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         t = (k + 1) * dt
-        if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > _BLOWUP:
+        # the negated comparison also catches NaN and inf
+        if not np.abs(s).max() <= _BLOWUP:
             blowup_time = t
+            nrec = k // stride + 1
             break
-        if delay_steps:
-            u_k, _ = record_u(t, s)
-            u_hist.append(u_k)
-        if (k + 1) % stride == 0:
-            rec_t.append(t)
-            rec_s.append(s.copy())
-            u_k, sat_k = record_u(t, s)
-            rec_u.append(u_k)
-            rec_sat.append(sat_k)
+    else:
+        if nsteps % stride == 0:
+            u_unsat = unsat_output(t, s[n:nq], s[:n])
+            record(nrec - 1, s, np.minimum(np.maximum(u_unsat, u_min), u_max), u_unsat)
 
-    S = np.array(rec_s)
+    S = rec_s[:nrec]
     X = S[:, :n]
     trace = Trace(
-        t=np.array(rec_t),
+        t=(np.arange(nrec) * stride) * dt,
         x=X,
-        u=np.array(rec_u),
+        u=rec_u[:nrec],
         y=X @ core.C,
-        d_hat=X @ core.C - S[:, n + q : n + q + m],
-        sat=np.array(rec_sat, dtype=bool),
+        d_hat=X @ core.C - S[:, nq:nqm],
+        sat=rec_sat[:nrec],
         metadata={
             "scenario": scenario_name or plant.name,
             "plant": plant.name,
@@ -206,8 +210,8 @@ def simulate(
             "x0": simcfg.x0.tolist(),
             "record_stride": stride,
         },
-        y_p=S[:, n + q : n + q + m],
-        y_s=S[:, n + q + m :] if with_decomposition else None,
+        y_p=S[:, nq:nqm],
+        y_s=S[:, nqm:] if with_decomposition else None,
     )
     if blowup_time is not None:
         raise NonFiniteState(
@@ -263,15 +267,9 @@ def export_csv(trace: Trace, path) -> None:
         + [f"dhat{i+1}" for i in range(m)]
         + ["sat"]
     )
+    data = np.column_stack((trace.t, trace.x, trace.u, trace.y, trace.d_hat))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(len(trace)):
-            row = (
-                [trace.t[k]]
-                + list(trace.x[k])
-                + list(trace.u[k])
-                + list(trace.y[k])
-                + list(trace.d_hat[k])
-            )
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write(f",{int(trace.sat[k])}\n")
+        for row, sat in zip(data.tolist(), trace.sat.tolist()):
+            fh.write(",".join(map(repr, row)))
+            fh.write(f",{int(sat)}\n")

@@ -208,6 +208,32 @@ class TestAckermann:
         np.testing.assert_allclose(K.ravel(), [-3.0, -4.2, -4.0 / 15.0], atol=1e-10)
         np.testing.assert_allclose(K.ravel(), [-3.0, -4.2, -0.27], atol=1e-2)
 
+    def test_weakly_controllable_high_gain(self):
+        # ctrb has a 4e-3 singular value, so |K| ~ 4e4 and eig's forward
+        # error on the closed loop is ~4e-7; the gain is still exact to
+        # working precision and must be accepted
+        rng = np.random.default_rng(2950)
+        n = int(rng.integers(2, 6))
+        A0 = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, 1))
+        poles = -np.arange(1.0, n + 1.0) - rng.uniform(0, 0.5)
+        K = ackermann_gain(A0, b, poles)
+        assert np.max(np.abs(K)) > 1e4
+        got = np.sort(np.linalg.eigvals(A0 + b @ K.T).real)
+        np.testing.assert_allclose(got, np.sort(poles), atol=1e-5)
+
+    def test_wrong_gain_fails_backward_check(self):
+        # a 1e-6 relative error in K moves the spectrum far beyond the
+        # backward-error tolerance used by the verifier
+        rng = np.random.default_rng(5)
+        A0 = rng.standard_normal((4, 4))
+        b = rng.standard_normal((4, 1))
+        poles = [-1.0, -2.5, -3.0, -4.0]
+        A_cl = A0 + b @ (ackermann_gain(A0, b, poles) * (1 + 1e-6)).T
+        scale = np.linalg.norm(A_cl, 2)
+        worst = max(np.linalg.svd(A_cl - p * np.eye(4), compute_uv=False)[-1] for p in poles)
+        assert worst > 1e-10 * scale
+
     def test_uncontrollable_raises(self):
         A = np.diag([-1.0, -2.0])
         b = np.array([[1.0], [0.0]])

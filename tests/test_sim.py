@@ -1,8 +1,11 @@
 """Closed-loop integrator, metrics, and CSV export."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from asdinv import cli, sim
 from asdinv import (
     EmptyTrace,
     NonFiniteState,
@@ -17,7 +20,110 @@ from asdinv import (
     synthetic_lti,
 )
 
+from asdinv.controller_rt import pi_gains
+
 from conftest import spec_for
+
+
+def reference_simulate(plant, spec, cfg, with_decomposition=False):
+    """Plain RK4 of the closed loop: every stage, and every recorded sample,
+    evaluates the controller from the textbook formulas of its realization.
+
+    Returns (Trace fields as a dict, blow-up time or None).
+    """
+    core, eps = spec.core, spec.epsilon
+    n, m, dt = core.n, core.m, cfg.dt
+    Ct, CtB, lam = core.C.T, core.CtB, core.lam_diag
+    Kp, Ki = pi_gains(core, eps)
+    CtB_inv = np.linalg.inv(CtB)
+    q = m if spec.realization_kind == "pi_closed" else 2 * m
+    nq, nqm = n + q, n + q + m
+    hist = []  # u at every step point
+
+    def output(t, s):
+        x, c = s[:n], s[n:nq]
+        if spec.realization_kind == "pi_closed":
+            uu = -Kp @ x - c
+        else:
+            uu = -CtB_inv @ ((Ct @ x - c[:m]) / eps + (lam - 1.0 / eps) * c[m:])
+        u = np.minimum(np.maximum(uu, spec.u_min), spec.u_max)
+        return u, bool(np.any(u != uu))
+
+    def deriv(t, s):
+        x, c = s[:n], s[n:nq]
+        u = output(t, s)[0]
+        tq = t - plant.input_delay
+        if plant.input_delay == 0:
+            u_h = u
+        elif tq <= 0.0:
+            u_h = np.zeros(m)
+        else:
+            i = tq / dt
+            i0 = min(int(i), len(hist) - 1)
+            i1 = min(i0 + 1, len(hist) - 1)
+            u_h = hist[i0] * (1 - (i - i0)) + hist[i1] * (i - i0)
+        hv, sv = plant.h(t, u_h, x), plant.sigma(t, x)
+        if spec.realization_kind == "pi_closed":
+            dc = Ki @ x
+        else:
+            dc = np.concatenate([-lam * c[:m] + CtB @ u, (Ct @ x - c[:m] - c[m:]) / eps])
+        ds = [A0 @ x + B @ (hv + sv), dc, -lam * s[nq:nqm] + CtB @ u]
+        if with_decomposition:
+            ds.append(-lam * s[nqm:] + CtB @ (-u + hv - core.K.T @ x + sv))
+        return np.concatenate(ds)
+
+    A0, B = plant.A0, plant.B
+    s = np.zeros(nqm + (m if with_decomposition else 0))
+    s[:n] = cfg.x0
+    if with_decomposition:
+        s[nqm:] = Ct @ cfg.x0
+    u0, sat0 = output(0.0, s)
+    hist.append(u0)
+    rows, us, sats, ts = [s.copy()], [u0], [sat0], [0.0]
+    blowup_time = None
+    for k in range(int(round(cfg.t_final / dt))):
+        t = k * dt
+        k1 = deriv(t, s)
+        k2 = deriv(t + dt / 2, s + (dt / 2) * k1)
+        k3 = deriv(t + dt / 2, s + (dt / 2) * k2)
+        k4 = deriv(t + dt, s + dt * k3)
+        s = s + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = (k + 1) * dt
+        if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > 1e12:
+            blowup_time = t
+            break
+        u, sat = output(t, s)
+        hist.append(u)
+        if (k + 1) % cfg.record_stride == 0:
+            rows.append(s.copy())
+            us.append(u)
+            sats.append(sat)
+            ts.append(t)
+    S = np.array(rows)
+    X = S[:, :n]
+    fields = dict(t=np.array(ts), x=X, u=np.array(us), y=X @ core.C, d_hat=X @ core.C - S[:, nq:nqm],
+                  sat=np.array(sats, dtype=bool), y_p=S[:, nq:nqm],
+                  y_s=S[:, nqm:] if with_decomposition else None)
+    return fields, blowup_time
+
+
+def bundled_case(name, t_final=0.5):
+    sc = cli.load_scenario(name, (f"sim.t_final={t_final}",))
+    plant = cli.build_plant(sc)
+    core = cli.build_core(sc, plant)
+    return plant, cli.build_controller_spec(sc, core), cli.build_sim_config(sc)
+
+
+def delay_case(tau):
+    plant = delayed_input_lti(tau, g=1.0, S=np.array([[0.05, 0.05]]), d_amp=0.1, d_freq=1.0)
+    core = build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
+    cfg = SimConfig(dt=1e-3, t_final=0.5, x0=np.array([1.0, 0.0]), record_stride=3)
+    return plant, spec_for(core, 0.02, -2.0, 2.0), cfg
+
+
+ORACLE_CASES = {name: (lambda name=name: bundled_case(name)) for name in cli.BUNDLED}
+ORACLE_CASES["delay_tau_half_dt"] = lambda: delay_case(5e-4)
+ORACLE_CASES["delay_tau_0.05"] = lambda: delay_case(0.05)
 
 
 class TestConfig:
@@ -144,6 +250,118 @@ class TestSimulate:
         np.testing.assert_allclose(tr.x[-1], [1.0, 0.0], atol=1e-9)
 
 
+class TestOracle:
+    """The integrator against the plain reference above, bit for bit."""
+
+    @pytest.mark.parametrize("decomposition", [False, True])
+    @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_bit_identical(self, case, kind, decomposition):
+        plant, spec, cfg = ORACLE_CASES[case]()
+        spec = dataclasses.replace(spec, realization_kind=kind)
+        want, blowup_time = reference_simulate(plant, spec, cfg, decomposition)
+        assert blowup_time is None
+        tr = simulate(plant, spec, cfg, with_decomposition=decomposition)
+        for name, ref in want.items():
+            got = getattr(tr, name)
+            assert (got is None) if ref is None else np.array_equal(got, ref), name
+        assert tr.metadata == {
+            "scenario": plant.name, "plant": plant.name, "epsilon": spec.epsilon,
+            "realization": kind, "u_min": spec.u_min.tolist(), "u_max": spec.u_max.tolist(),
+            "dt": cfg.dt, "t_final": cfg.t_final, "x0": cfg.x0.tolist(),
+            "record_stride": cfg.record_stride,
+        }
+
+    def test_divergence_bit_identical(self):
+        plant = synthetic_lti(g=1.0, d_amp=0.0)
+        core = build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
+        spec = spec_for(core, 2e-4, -1e15, 1e15)
+        cfg = SimConfig(dt=1e-3, t_final=1.0, x0=np.array([1.0, 0.0]), record_stride=7)
+        want, blowup_time = reference_simulate(plant, spec, cfg)
+        with pytest.raises(NonFiniteState) as exc:
+            simulate(plant, spec, cfg)
+        assert blowup_time is not None
+        assert exc.value.blowup_time == blowup_time
+        for name, ref in want.items():
+            got = getattr(exc.value.trace, name)
+            assert (got is None) if ref is None else np.array_equal(got, ref), name
+
+
+def counting(plant, counts):
+    """The plant with call counters on h and sigma."""
+
+    def h(t, u, x):
+        counts["h"] += 1
+        return plant.h(t, u, x)
+
+    def sigma(t, x):
+        counts["sigma"] += 1
+        return plant.sigma(t, x)
+
+    return dataclasses.replace(plant, h=h, sigma=sigma)
+
+
+class TestCallCounts:
+    """h, sigma and the controller derivative run exactly four times per RK4 step."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = dict(h=0, sigma=0, unsat_output=0, derivative=0)
+        make_controller = sim.make_controller
+
+        def counted_controller(spec):
+            ctrl = make_controller(spec)
+            for name in ("unsat_output", "derivative"):
+                def method(*args, _fn=getattr(ctrl, name), _name=name):
+                    counts[_name] += 1
+                    return _fn(*args)
+                setattr(ctrl, name, method)
+            return ctrl
+
+        monkeypatch.setattr(sim, "make_controller", counted_controller)
+        return counts
+
+    def check(self, counts, steps):
+        assert counts["h"] == counts["sigma"] == counts["derivative"] == 4 * steps
+        assert 4 * steps <= counts["unsat_output"] <= 4 * steps + 1
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("case", ["siso", "delay_tau_half_dt"])
+    def test_normal_run(self, counts, case, stride):
+        plant, spec, cfg = ORACLE_CASES[case]()
+        cfg = dataclasses.replace(cfg, record_stride=stride)
+        simulate(counting(plant, counts), dataclasses.replace(spec, realization_kind="observer"),
+                 cfg, with_decomposition=True)
+        self.check(counts, round(cfg.t_final / cfg.dt))
+
+    def test_diverging_run(self, counts):
+        plant = synthetic_lti(g=1.0, d_amp=0.0)
+        core = build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
+        cfg = SimConfig(dt=1e-3, t_final=1.0, x0=np.array([1.0, 0.0]))
+        with pytest.raises(NonFiniteState) as exc:
+            simulate(counting(plant, counts), spec_for(core, 2e-4, -1e15, 1e15), cfg)
+        self.check(counts, round(exc.value.blowup_time / cfg.dt))
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_raises_at_first_step_after_bad_sigma(self, synthetic_plant, synthetic_core, bad):
+        base = synthetic_plant.sigma
+
+        def sigma(t, x):
+            return base(t, x) if t <= 0.1 else np.full(1, bad)
+
+        plant = dataclasses.replace(synthetic_plant, sigma=sigma)
+        cfg = SimConfig(dt=1e-3, t_final=0.5, x0=np.array([1.0, 0.0]))
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFiniteState) as exc:
+            simulate(plant, spec_for(synthetic_core, 0.05, -1000, 1000), cfg)
+        # the step from t = 0.1 is the first with a stage after 0.1 s
+        assert exc.value.blowup_time == 101 * cfg.dt
+        tr = exc.value.trace
+        assert len(tr) == 101 and tr.t[-1] == 0.1
+        assert np.all(np.isfinite(tr.x)) and np.all(np.isfinite(tr.u))
+
+
 class TestMetrics:
     def test_energy_for_sampled_sine(self):
         # total variation of sin over one period is 4
@@ -195,3 +413,13 @@ class TestCsv:
         np.testing.assert_allclose(data["x2"], siso_trace.x[:, 1], atol=0)
         np.testing.assert_allclose(data["u1"], siso_trace.u[:, 0], atol=0)
         np.testing.assert_allclose(data["sat"], siso_trace.sat.astype(float), atol=0)
+
+    def test_bytes_match_per_row_formatter(self, siso_trace, tmp_path):
+        path = tmp_path / "trace.csv"
+        export_csv(siso_trace, path)
+        tr = siso_trace
+        lines = ["t,x1,x2,x3,u1,y1,dhat1,sat\n"]
+        for k in range(len(tr)):
+            row = [tr.t[k]] + list(tr.x[k]) + list(tr.u[k]) + list(tr.y[k]) + list(tr.d_hat[k])
+            lines.append(",".join(repr(float(v)) for v in row) + f",{int(tr.sat[k])}\n")
+        assert path.read_bytes() == "".join(lines).encode()
