@@ -12,11 +12,11 @@ import sys
 from asdinv.cli import BUNDLED, EXIT_CONSTANTS, main as cli_main
 
 
-def run(out: str, jobs: int) -> int:
+def run(out: str) -> int:
     worst = 0
     for command in ("design", "simulate", "verify"):
         refs = [a for name in BUNDLED for a in ("--scenario", name)]
-        code = cli_main([command, *refs, "--out", out, "--jobs", str(jobs)])
+        code = cli_main([command, *refs, "--out", out])
         print(f"== {command}: exit {code}")
         worst = max(worst, code)
     for name in BUNDLED:
@@ -32,6 +32,5 @@ def run(out: str, jobs: int) -> int:
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out")
-    ap.add_argument("--jobs", type=int, default=2)
     args = ap.parse_args()
-    sys.exit(run(args.out, args.jobs))
+    sys.exit(run(args.out))

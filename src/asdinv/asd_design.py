@@ -33,9 +33,23 @@ __all__ = [
     "StructureReport",
     "build_core",
     "build_G",
+    "ctb_invertible",
     "decompose",
     "verify_theorem1",
 ]
+
+
+CTB_RTOL = 1e-10
+
+
+def ctb_invertible(C: np.ndarray, B: np.ndarray) -> bool:
+    """Scale-relative invertibility of C^T B.
+
+    True when sigma_min(C^T B) > CTB_RTOL ||C||_2 ||B||_2, so the verdict
+    does not change when B (or C) is rescaled.
+    """
+    smin = np.linalg.svd(C.T @ B, compute_uv=False)[-1]
+    return bool(smin > CTB_RTOL * np.linalg.norm(C, 2) * np.linalg.norm(B, 2))
 
 
 @dataclass(frozen=True)
@@ -44,7 +58,8 @@ class LinearCore:
 
     Invariants (established by build_core): A = A0 + B K^T is Hurwitz
     with a real spectrum, C has unit-norm columns with C^T A = -Lambda C^T,
-    det(C^T B) != 0, and P A + A^T P = -M with P, M > 0.
+    C^T B invertible (see ctb_invertible), and P A + A^T P = -M with
+    P, M > 0.
     """
 
     n: int
@@ -94,7 +109,6 @@ class StructureReport:
     theorem1_residual: float
     residual_budget: float
     det_ctb: float
-    det_tol: float
     c_rank: int
     m: int
     checks: dict = field(default_factory=dict)
@@ -111,7 +125,6 @@ def build_core(
     selected_eigs: Sequence[float],
     M_choice: Optional[np.ndarray] = None,
     tol: float = 1e-8,
-    det_tol: float = 1e-9,
     select_tol: float = 1e-4,
 ) -> LinearCore:
     """Run design steps 1-2: feedback gain, output matrix, Lyapunov pair.
@@ -177,10 +190,9 @@ def build_core(
     if np.any(np.diag(Lam) <= 0):
         raise Unstable("selected eigenvalues must be negative")
 
-    det_ctb = float(np.linalg.det(C.T @ B))
-    if abs(det_ctb) <= det_tol:
+    if not ctb_invertible(C, B):
         raise SingularCB(
-            f"|det(C^T B)| = {abs(det_ctb):.3e} <= {det_tol:.1e}; "
+            f"sigma_min(C^T B) <= {CTB_RTOL:.0e} ||C|| ||B||; "
             "the selected eigenvectors do not give an invertible transfer path"
         )
 
@@ -248,7 +260,7 @@ def decompose(core: LinearCore, plant: UncertainPlant, trace):
     return rerun.y_p, rerun.y_s
 
 
-def verify_theorem1(core: LinearCore, tol: float = 1e-8, det_tol: float = 1e-6) -> StructureReport:
+def verify_theorem1(core: LinearCore, tol: float = 1e-8) -> StructureReport:
     """Residual report for the output-redefinition identities."""
     resid = float(np.linalg.norm(core.C.T @ core.A + core.Lam @ core.C.T))
     budget = tol * float(np.linalg.norm(core.A))
@@ -256,14 +268,13 @@ def verify_theorem1(core: LinearCore, tol: float = 1e-8, det_tol: float = 1e-6) 
     c_rank = int(np.linalg.matrix_rank(core.C, tol=1e-10))
     checks = {
         "output_identity": resid <= budget,
-        "ctb_invertible": abs(det_ctb) > det_tol,
+        "ctb_invertible": ctb_invertible(core.C, core.B),
         "c_full_column_rank": c_rank == core.m,
     }
     return StructureReport(
         theorem1_residual=resid,
         residual_budget=budget,
         det_ctb=det_ctb,
-        det_tol=det_tol,
         c_rank=c_rank,
         m=core.m,
         checks=checks,

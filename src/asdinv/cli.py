@@ -9,10 +9,9 @@ from the command line. Exit codes: 0 ok, 2 config error, 3 divergence,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -20,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, asd_design, plants, sim
-from .controller_rt import ControllerSpec, make_controller, pi_gains, x_to_u_response
+from .controller_rt import ControllerSpec, pi_gains, x_to_u_response
 from .errors import AsdinvError, ConfigError, MissingConstants, NonFiniteState
 
 EXIT_OK = 0
@@ -32,7 +31,7 @@ EXIT_CONSTANTS = 5
 BUNDLED = ("siso", "f16", "quadrotor", "quadrotor_payload", "synthetic", "deadzone", "delay_demo")
 
 
-@dataclass
+@dataclasses.dataclass
 class Scenario:
     name: str
     raw: dict
@@ -94,6 +93,17 @@ def load_scenario(ref: str, overrides=()) -> Scenario:
     return Scenario(name=raw.get("name", ref), raw=raw)
 
 
+def _synthetic_kwargs(cfg: dict) -> dict:
+    """Parameters of the synthetic plant family (synthetic, deadzone, delay)."""
+    S = cfg.get("S")
+    return dict(
+        g=float(cfg.get("g", 1.0)),
+        S=np.asarray(S, dtype=float) if S is not None else None,
+        d_amp=float(cfg.get("d_amp", 0.0)),
+        d_freq=float(cfg.get("d_freq", 1.0)),
+    )
+
+
 def build_plant(sc: Scenario) -> plants.UncertainPlant:
     cfg = dict(sc.plant_cfg)
     kind = cfg.pop("kind", None)
@@ -111,29 +121,12 @@ def build_plant(sc: Scenario) -> plants.UncertainPlant:
             )
             return plants.quadrotor_attitude(qc)
         if kind == "synthetic":
-            return plants.synthetic_lti(
-                g=float(cfg.get("g", 1.0)),
-                S=np.asarray(cfg.get("S"), dtype=float) if cfg.get("S") is not None else None,
-                d_amp=float(cfg.get("d_amp", 0.0)),
-                d_freq=float(cfg.get("d_freq", 1.0)),
-            )
+            return plants.synthetic_lti(**_synthetic_kwargs(cfg))
         if kind == "deadzone":
-            mu = float(cfg.pop("mu"))
-            base = plants.synthetic_lti(
-                g=float(cfg.get("g", 1.0)),
-                S=np.asarray(cfg.get("S"), dtype=float) if cfg.get("S") is not None else None,
-                d_amp=float(cfg.get("d_amp", 0.0)),
-                d_freq=float(cfg.get("d_freq", 1.0)),
-            )
-            return plants.dead_zone(mu)(base)
+            mu = float(cfg["mu"])
+            return plants.dead_zone(mu)(plants.synthetic_lti(**_synthetic_kwargs(cfg)))
         if kind == "delay":
-            return plants.delayed_input_lti(
-                tau=float(cfg.pop("tau")),
-                g=float(cfg.get("g", 1.0)),
-                S=np.asarray(cfg.get("S"), dtype=float) if cfg.get("S") is not None else None,
-                d_amp=float(cfg.get("d_amp", 0.0)),
-                d_freq=float(cfg.get("d_freq", 1.0)),
-            )
+            return plants.delayed_input_lti(tau=float(cfg["tau"]), **_synthetic_kwargs(cfg))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad plant configuration for kind {kind!r}: {exc}") from exc
     raise ConfigError(f"field 'plant.kind': unknown kind {kind!r}")
@@ -215,8 +208,6 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
-        return str(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
@@ -309,10 +300,7 @@ def cmd_verify(sc: Scenario, args) -> int:
         core=core, epsilon=spec.epsilon, u_min=-1e9 * np.ones(core.m),
         u_max=1e9 * np.ones(core.m), realization_kind="pi_closed",
     )
-    wide_obs = ControllerSpec(
-        core=core, epsilon=spec.epsilon, u_min=-1e9 * np.ones(core.m),
-        u_max=1e9 * np.ones(core.m), realization_kind="observer",
-    )
+    wide_obs = dataclasses.replace(wide, realization_kind="observer")
     tr_pi = sim.simulate(plant, wide, cfg, scenario_name=sc.name)
     tr_ob = sim.simulate(plant, wide_obs, cfg, scenario_name=sc.name)
     du = np.max(np.abs(tr_pi.u - tr_ob.u))
@@ -391,16 +379,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="dotted-path override, e.g. --set sim.dt=0.0005")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--jobs", type=int, default=1, help="run scenarios in parallel")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; no effect, scenarios run serially")
     args = parser.parse_args(argv)
-
-    refs = args.scenario
-    if args.jobs > 1 and len(refs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(lambda r: _run_one(args.command, r, args.set, args), refs))
-    else:
-        codes = [_run_one(args.command, r, args.set, args) for r in refs]
-    return max(codes)
+    return max(_run_one(args.command, r, args.set, args) for r in args.scenario)
 
 
 if __name__ == "__main__":

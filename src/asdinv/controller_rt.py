@@ -1,23 +1,29 @@
-"""Runtime controller in two equivalent realizations.
+"""Runtime controller: two realizations of u = -(I - Q)^-1 Q G^-1 C^T x.
 
-Observer form: advance the disturbance observer y_p' = -Lam y_p + C^T B u,
-estimate d = y - y_p, and push it through the biproper inverse filter
-Q G^-1 = (C^T B)^-1 diag((s + lam_i)/(eps s + 1)).
+Each realization is a state-space quadruple (F, Gx, Gu, H, D) with zero
+initial state: s' = F s + Gx x + Gu sat(u), u = H s + D x; Q = 1/(eps s + 1).
 
-PI form: u = -K_p x - integral(K_i x) with
-K_p = (1/eps)(C^T B)^-1 C^T and K_i = (1/eps)(C^T B)^-1 Lam C^T.
+PI form, s = integral(K_i x): F = 0, Gx = K_i, Gu = 0, H = -I, D = -K_p,
+with K_p = (1/eps)(C^T B)^-1 C^T and K_i = (1/eps)(C^T B)^-1 Lam C^T.
 
-Both realize u = -(I - Q)^-1 Q G^-1 C^T x for Q = 1/(eps s + 1); the
-equivalence is exercised by the test suite in time and frequency domain.
+Observer form, s = [y_p, w]: y_p' = -Lam y_p + C^T B u estimates
+d = y - y_p from y = C^T x, and w is the low-pass state of the inverse
+filter (s + lam_i)/(eps s + 1) = 1/eps + (lam_i - 1/eps)/(eps s + 1):
+F = [[-Lam, 0], [-I/eps, -I/eps]], Gx = [[0], [C^T/eps]], Gu = [[C^T B], [0]],
+H = -(C^T B)^-1 [-I/eps, Lam - I/eps], D = -(C^T B)^-1 C^T/eps.
+
+The quadruple gives the frequency response; the simulator runs
+`unsat_output` (H s + D x) and `derivative` (F s + Gx x + Gu u), which
+keep the textbook arithmetic of each form. Tests tie the two together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .asd_design import LinearCore
+from .asd_design import LinearCore, LtiRealization, ctb_invertible
 from .errors import NonFiniteInput, SingularCB
 
 __all__ = [
@@ -30,14 +36,17 @@ __all__ = [
 ]
 
 
+def _require_invertible_ctb(core: LinearCore) -> None:
+    if not ctb_invertible(core.C, core.B):
+        raise SingularCB("C^T B is numerically singular")
+
+
 def pi_gains(core: LinearCore, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Proportional and integral gains of the closed realization."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    CtB = core.CtB
-    if abs(np.linalg.det(CtB)) < 1e-12:
-        raise SingularCB("C^T B is numerically singular")
-    CtB_inv = np.linalg.inv(CtB)
+    _require_invertible_ctb(core)
+    CtB_inv = np.linalg.inv(core.CtB)
     Kp = (1.0 / epsilon) * CtB_inv @ core.C.T
     Ki = (1.0 / epsilon) * CtB_inv @ core.Lam @ core.C.T
     return Kp, Ki
@@ -50,7 +59,6 @@ class ControllerSpec:
     u_min: np.ndarray
     u_max: np.ndarray
     realization_kind: str = "pi_closed"  # or "observer"
-    anti_windup: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -66,33 +74,37 @@ class ControllerSpec:
 
 
 class _ControllerBase:
-    """Continuous-time controller block integrated jointly with the plant."""
+    """A realization (F, Gx, Gu, H, D) and its state, stepped on its own.
+
+    Subclasses set the quadruple and the input-side forms `_output(s, v)`
+    = u and `_deriv(s, v, u)` = s', where v is the signal the realization
+    reads: x for PI, y = C^T x for the observer.
+    """
 
     def __init__(self, spec: ControllerSpec):
         self.spec = spec
-        self.core = spec.core
         self.eps = spec.epsilon
         self.m = spec.core.m
-        self.state = self.initial_state()
-
-    def initial_state(self) -> np.ndarray:
-        return np.zeros(self.state_dim)
+        self.state_dim = self.F.shape[0]
+        self.reset()
 
     def reset(self):
-        self.state = self.initial_state()
+        self.state = np.zeros(self.state_dim)
 
-    def saturate(self, u: np.ndarray) -> tuple[np.ndarray, bool]:
-        u_sat = np.minimum(np.maximum(u, self.spec.u_min), self.spec.u_max)
-        return u_sat, bool(np.any(u_sat != u))
-
-    def _rk4_self_step(self, s, ext, u_prev, dt):
-        # stepping with the external input held constant across the step
-        d = self.derivative
-        k1 = d(0.0, s, ext, u_prev)
-        k2 = d(0.0, s + dt / 2 * k1, ext, u_prev)
-        k3 = d(0.0, s + dt / 2 * k2, ext, u_prev)
-        k4 = d(0.0, s + dt * k3, ext, u_prev)
-        return s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    def step(self, v: np.ndarray, dt: float) -> np.ndarray:
+        """Advance the state by one RK4 step of dt with v and the saturated
+        output at the step start held; return that output."""
+        v = np.asarray(v, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteInput("controller input contains non-finite entries")
+        u = np.minimum(np.maximum(self._output(self.state, v), self.spec.u_min), self.spec.u_max)
+        d, s = self._deriv, self.state
+        k1 = d(s, v, u)
+        k2 = d(s + dt / 2 * k1, v, u)
+        k3 = d(s + dt / 2 * k2, v, u)
+        k4 = d(s + dt * k3, v, u)
+        self.state = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return u
 
 
 class PiController(_ControllerBase):
@@ -101,81 +113,56 @@ class PiController(_ControllerBase):
     def __init__(self, spec: ControllerSpec):
         self.Kp, self.Ki = pi_gains(spec.core, spec.epsilon)
         self._neg_Kp = -self.Kp
-        self._anti_windup = spec.anti_windup
+        m = spec.core.m
+        self.F, self.Gx, self.Gu = np.zeros((m, m)), self.Ki, np.zeros((m, m))
+        self.H, self.D = -np.eye(m), self._neg_Kp
         super().__init__(spec)
-        self._last_u = np.zeros(spec.core.m)
 
-    @property
-    def state_dim(self) -> int:
-        return self.m
-
-    def unsat_output(self, t: float, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def unsat_output(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
         return self._neg_Kp @ x - s
 
-    def derivative(self, t, s, x, u_applied) -> np.ndarray:
-        dz = self.Ki @ x
-        if self._anti_windup:
-            # conditional integration: freeze channels pushing further into
-            # an already-saturated output
-            u_unsat = self.unsat_output(t, s, x)
-            u_sat, _ = self.saturate(u_unsat)
-            over = u_unsat - u_sat
-            dz = np.where((over != 0) & (np.sign(-dz) == np.sign(over)), 0.0, dz)
-        return dz
+    def derivative(self, s: np.ndarray, x: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
+        return self.Ki @ x
 
-    def step_pi(self, x: np.ndarray, dt: float) -> np.ndarray:
-        """Advance the integrator by dt (x held) and return the saturated u."""
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteInput("state contains non-finite entries")
-        u_unsat = self.unsat_output(0.0, self.state, x)
-        u, _ = self.saturate(u_unsat)
-        self.state = self._rk4_self_step(self.state, x, u, dt)
-        self._last_u = u
-        return u
-
-    # sim-facing aliases
-    def external_input(self, x, y):
-        return x
+    _output, _deriv = unsat_output, derivative
+    step_pi = _ControllerBase.step
 
 
 class ObserverController(_ControllerBase):
     """Observer realization driven by the redefined output y = C^T x.
 
-    State layout: [y_p (m), w (m)] where w is the low-pass state of the
-    per-channel filter (s + lam_i)/(eps s + 1) = 1/eps + (lam_i - 1/eps)/(eps s + 1).
+    State layout: [y_p (m), w (m)].
     """
 
     def __init__(self, spec: ControllerSpec):
-        core = spec.core
-        if abs(np.linalg.det(core.CtB)) < 1e-12:
-            raise SingularCB("C^T B is numerically singular")
+        core, eps = spec.core, spec.epsilon
+        _require_invertible_ctb(core)
+        m, n, lam = core.m, core.n, core.lam_diag
         self.CtB = core.CtB
-        self.CtB_inv = np.linalg.inv(core.CtB)
-        self.lam = core.lam_diag
         self._Ct = core.C.T
-        self._neg_CtB_inv = -self.CtB_inv
-        self._neg_lam = -self.lam
-        self._lam_minus_inv_eps = self.lam - 1.0 / spec.epsilon
+        self._neg_CtB_inv = -np.linalg.inv(core.CtB)
+        self._neg_lam = -lam
+        self._lam_minus_inv_eps = lam - 1.0 / eps
+        I, Z = np.eye(m), np.zeros((m, m))
+        self.F = np.block([[-core.Lam, Z], [-I / eps, -I / eps]])
+        self.Gx = np.vstack((np.zeros((m, n)), self._Ct / eps))
+        self.Gu = np.vstack((self.CtB, Z))
+        self.H = self._neg_CtB_inv @ np.hstack((-I / eps, core.Lam - I / eps))
+        self.D = self._neg_CtB_inv @ self._Ct / eps
         super().__init__(spec)
-        self._last_u = np.zeros(spec.core.m)
 
-    @property
-    def state_dim(self) -> int:
-        return 2 * self.m
+    def unsat_output(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self._output(s, self._Ct @ x)
 
-    def unsat_output(self, t: float, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._u_from_y(s, self._Ct @ x)
-
-    def _u_from_y(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _output(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
         m = self.m
         filt = (y - s[:m]) / self.eps + self._lam_minus_inv_eps * s[m:]
         return self._neg_CtB_inv @ filt
 
-    def derivative(self, t, s, x, u_applied) -> np.ndarray:
-        return self._deriv_from_y(s, self._Ct @ x, u_applied)
+    def derivative(self, s: np.ndarray, x: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
+        return self._deriv(s, self._Ct @ x, u_applied)
 
-    def _deriv_from_y(self, s, y, u_applied) -> np.ndarray:
+    def _deriv(self, s: np.ndarray, y: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
         m = self.m
         yp, w = s[:m], s[m:]
         d_hat = y - yp
@@ -183,22 +170,7 @@ class ObserverController(_ControllerBase):
         dw = (d_hat - w) / self.eps
         return np.concatenate((dyp, dw))
 
-    def step_observer(self, y: np.ndarray, dt: float) -> np.ndarray:
-        """Advance observer and filter by dt (y held) and return saturated u."""
-        y = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteInput("measurement contains non-finite entries")
-        u_unsat = self._u_from_y(self.state, y)
-        u, _ = self.saturate(u_unsat)
-        d = lambda s: self._deriv_from_y(s, y, u)
-        s = self.state
-        k1 = d(s)
-        k2 = d(s + dt / 2 * k1)
-        k3 = d(s + dt / 2 * k2)
-        k4 = d(s + dt * k3)
-        self.state = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        self._last_u = u
-        return u
+    step_observer = _ControllerBase.step
 
 
 def make_controller(spec: ControllerSpec):
@@ -208,43 +180,15 @@ def make_controller(spec: ControllerSpec):
 
 
 def x_to_u_response(spec: ControllerSpec, omegas) -> np.ndarray:
-    """Frequency response of the x -> u map, shape (len(omegas), m, n).
+    """Frequency response of the unsaturated x -> u map, shape (len(omegas), m, n).
 
-    Evaluated from the state-space realization of the requested kind, so
-    comparing the two kinds checks the algebraic equivalence
-    u = -(I - Q)^-1 Q G^-1 C^T x.
+    Closing u = H s + D x around the realization of the requested kind
+    gives D + H (sI - F - Gu H)^-1 (Gx + Gu D), so comparing the two kinds
+    checks the algebraic equivalence u = -(I - Q)^-1 Q G^-1 C^T x.
     """
-    core = spec.core
-    m, n = core.m, core.n
-    out = np.empty((len(omegas), m, n), dtype=complex)
-    if spec.realization_kind == "pi_closed":
-        Kp, Ki = pi_gains(core, spec.epsilon)
-        # u = -Kp x - (1/s) Ki x
-        for k, w in enumerate(omegas):
-            s = 1j * w
-            out[k] = -Kp - Ki / s
-    else:
-        ctrl = ObserverController(spec)
-        lam = core.lam_diag
-        eps = spec.epsilon
-        CtB_inv = ctrl.CtB_inv
-        Ct = core.C.T
-        # states [yp, w]; u = -CtB_inv ((y - yp)/eps + (lam - 1/eps) w), y = Ct x
-        # yp' = -lam yp + CtB u, w' = ((y - yp) - w)/eps
-        for k, w_ in enumerate(omegas):
-            s = 1j * w_
-            # steady response to x(s) = I, column by column; substituting u
-            # into the observer dynamics gives the block system below:
-            # (s + lam - 1/eps) yp + (lam - 1/eps) w = -(1/eps) y
-            # (1/eps) yp + (s + 1/eps) w = (1/eps) y,     with y = Ct x
-            Im = np.eye(m)
-            M11 = np.diag(s + lam - 1.0 / eps)
-            M12 = np.diag(lam - 1.0 / eps)
-            M21 = (1.0 / eps) * Im
-            M22 = (s + 1.0 / eps) * Im
-            Mbig = np.block([[M11, M12], [M21, M22]])
-            rhs = np.vstack([-(1.0 / eps) * Ct, (1.0 / eps) * Ct])
-            sol = np.linalg.solve(Mbig, rhs)
-            yp, wv = sol[:m], sol[m:]
-            out[k] = -CtB_inv @ ((Ct - yp) / eps + (lam[:, None] - 1.0 / eps) * wv)
+    c = make_controller(spec)
+    closed = LtiRealization(F=c.F + c.Gu @ c.H, G_in=c.Gx + c.Gu @ c.D, H=c.H, D=c.D)
+    out = np.empty((len(omegas), spec.core.m, spec.core.n), dtype=complex)
+    for k, w in enumerate(omegas):
+        out[k] = closed.response(1j * w)
     return out

@@ -118,11 +118,11 @@ def simulate(
     tau = plant.input_delay
     u_hist: list[np.ndarray] = []  # u(k dt), k = 0, 1, ...; kept only when tau > 0
 
-    # augmented layout: [x (n), controller (q), y_p (m), (y_s (m))]
+    # augmented layout: [x (n), controller (q), y_p (m), (y_s (m))];
+    # the controller and y_p start at zero
     dim = nqm + (m if with_decomposition else 0)
     s = np.zeros(dim)
     s[:n] = simcfg.x0
-    s[n:nq] = ctrl.initial_state()
     if with_decomposition:
         s[nqm:] = core.C.T @ simcfg.x0  # y_s(0) = C^T x0; y_p(0) = 0
 
@@ -140,7 +140,7 @@ def simulate(
         """Closed-loop derivative at (t, s), with the saturated and raw u."""
         x = s[:n]
         sc = s[n:nq]
-        u_unsat = unsat_output(t, sc, x)
+        u_unsat = unsat_output(sc, x)
         u = np.minimum(np.maximum(u_unsat, u_min), u_max)
         if tau:
             if step_point:
@@ -150,7 +150,7 @@ def simulate(
             hv = h(t, u, x)
         sv = sig(t, x)
         dx = A0 @ x + B @ (hv + sv)
-        dc = ctrl_derivative(t, sc, x, u)
+        dc = ctrl_derivative(sc, x, u)
         dyp = neg_lam * s[nq:nqm] + CtB @ u
         if with_decomposition:
             dys = neg_lam * s[nqm:] + CtB @ (-u + hv - Kt @ x + sv)
@@ -186,7 +186,7 @@ def simulate(
             break
     else:
         if nsteps % stride == 0:
-            u_unsat = unsat_output(t, s[n:nq], s[:n])
+            u_unsat = unsat_output(s[n:nq], s[:n])
             record(nrec - 1, s, np.minimum(np.maximum(u_unsat, u_min), u_max), u_unsat)
 
     S = rec_s[:nrec]

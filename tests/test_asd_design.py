@@ -21,6 +21,8 @@ from asdinv import (
     verify_theorem1,
 )
 
+from asdinv.asd_design import ctb_invertible
+
 from conftest import F16_C, F16_K, spec_for
 
 
@@ -177,3 +179,17 @@ class TestVerify:
         core = build_core(A0, b, poles, [poles[0]])
         rep = verify_theorem1(core)
         assert rep.all_pass
+
+
+class TestCtbScale:
+    def test_rescaled_input_matrix_accepted(self, quad_plant):
+        # |det(C^T B)| = 3e-14 here, but cond(C^T B) = 1: invertibility is
+        # judged relative to ||C|| ||B||, not by an absolute determinant
+        core = build_core(quad_plant.A0, quad_plant.B * 1e-4, np.zeros((9, 3)), [-1.0, -1.0, -1.0])
+        assert abs(np.linalg.det(core.CtB)) < 1e-12
+        assert verify_theorem1(core).checks["ctb_invertible"]
+
+    def test_verdict_is_scale_invariant(self, siso_core):
+        for scale in (1e-8, 1.0, 1e8):
+            assert ctb_invertible(siso_core.C, siso_core.B * scale)
+        assert not ctb_invertible(np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]]) * 1e8)

@@ -131,3 +131,34 @@ class TestEquivalence:
         )
         scale = max(np.max(np.abs(tr_pi.u)), 1e-12)
         assert np.max(np.abs(tr_pi.u - tr_ob.u)) < 1e-6 * scale
+
+
+class TestStateSpace:
+    """The quadruple (F, Gx, Gu, H, D) describes the maps the simulator runs."""
+
+    @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
+    @pytest.mark.parametrize("core_name", ["siso_core", "f16_core"])
+    def test_quadruple_matches_runtime_maps(self, request, core_name, kind):
+        core = request.getfixturevalue(core_name)
+        ctrl = make_controller(spec_for(core, 0.05, -1e9, 1e9, kind=kind))
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            s = rng.normal(size=ctrl.state_dim)
+            x = rng.normal(size=core.n)
+            u = rng.normal(size=core.m)
+            out = ctrl.H @ s + ctrl.D @ x
+            np.testing.assert_allclose(ctrl.unsat_output(s, x), out,
+                                       rtol=1e-12, atol=1e-12 * np.max(np.abs(out)))
+            ds = ctrl.F @ s + ctrl.Gx @ x + ctrl.Gu @ u
+            np.testing.assert_allclose(ctrl.derivative(s, x, u), ds,
+                                       rtol=1e-12, atol=1e-12 * np.max(np.abs(ds)))
+
+    @pytest.mark.parametrize("core_name", ["siso_core", "f16_core"])
+    def test_pi_response_closed_form(self, request, core_name):
+        core = request.getfixturevalue(core_name)
+        spec = spec_for(core, 0.2, -1e9, 1e9)
+        Kp, Ki = pi_gains(core, 0.2)
+        omegas = np.logspace(-2, 2, 20)
+        got = x_to_u_response(spec, omegas)
+        want = np.array([-Kp - Ki / (1j * w) for w in omegas])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
