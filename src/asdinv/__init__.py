@@ -22,7 +22,6 @@ from .asd_design import (
     StructureReport,
     build_G,
     build_core,
-    decompose,
     verify_theorem1,
 )
 from .controller_rt import (
@@ -66,6 +65,6 @@ from .plants import (
     quadrotor_attitude,
     synthetic_lti,
 )
-from .sim import Metrics, SimConfig, Trace, energy_index, export_csv, metrics, simulate
+from .sim import Metrics, SimConfig, Trace, decompose, energy_index, export_csv, metrics, simulate
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import numpy as np
 
 from .asd_design import LinearCore
 from .errors import EtaNonpositive, UnknownUncertainty
+from .numlin import CERT_ATOL
 from .plants import AssumptionConstants, UncertainPlant
 from .sim import Trace
 
@@ -125,13 +126,13 @@ def bound_report(
     core: LinearCore,
     consts: AssumptionConstants,
     epsilon: Optional[float] = None,
-    grid_points: int = 25,
 ) -> BoundReport:
-    """Evaluate every Theorem-2 quantity, with eta sampled on a log grid."""
+    """Evaluate every Theorem-2 quantity, with eta sampled at 25 log-spaced
+    epsilons over [1e-3 eps_max, eps_max] (eps_max = 1 when unbounded)."""
     g0, g1, g2 = gammas(core, consts)
     eps_max = epsilon_bound(g0, g1, g2, consts)
     hi = eps_max if math.isfinite(eps_max) else 1.0
-    grid = np.logspace(np.log10(hi * 1e-3), np.log10(hi), grid_points)
+    grid = np.logspace(np.log10(hi * 1e-3), np.log10(hi), 25)
     eta_grid = np.array([eta(e, g0, g1, g2, consts, core.P) for e in grid])
 
     ua = us = None
@@ -199,7 +200,7 @@ def lyapunov_certificate(
         if ev > 0:
             drive = (c.l_ht / c.l_hu_low) * c.delta_sigma + c.d_sigma
             radius = (1.0 / ev) * (eps / c.l_hu_low) * drive**2
-            inside = V <= radius + 1e-12
+            inside = V <= radius + CERT_ATOL
             if inside[-1]:
                 idx = len(inside) - 1
                 while idx > 0 and inside[idx - 1]:
@@ -216,17 +217,18 @@ def lyapunov_certificate(
 
 def sample_constants(
     plant: UncertainPlant,
-    t_samples=np.linspace(0.0, 10.0, 11),
     u_scale: float = 1.0,
     x_scale: float = 1.0,
     grid: int = 5,
-    fd_step: float = 1e-6,
 ) -> dict:
     """Rough finite-difference estimates of the assumption constants.
 
-    Diagnostic only: sampled on a coarse grid, so these are lower bounds
-    on the true suprema and must never back an assertion.
+    Samples t = 0, 1, ..., 10 s and `grid` seeded draws of u and x from
+    [-u_scale, u_scale]^m and [-x_scale, x_scale]^n; forward differences
+    of step 1e-6 in t and u. Diagnostic only: lower bounds on the true
+    suprema, never to back an assertion.
     """
+    fd_step = 1e-6
     if plant.input_delay > 0:
         raise UnknownUncertainty("sampler needs an undelayed input map")
     m, n = plant.m, plant.n
@@ -239,7 +241,7 @@ def sample_constants(
     dhdu_max = 0.0
     sig_t = 0.0
     sig0 = 0.0
-    for t in t_samples:
+    for t in np.linspace(0.0, 10.0, 11):
         for u in us:
             for x in xs:
                 h0 = plant.h(t, u, x)

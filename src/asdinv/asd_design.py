@@ -3,8 +3,8 @@
 Builds A = A0 + B K^T, redefines the output through eigenvectors of A^T
 (so that C^T A = -Lambda C^T), realizes the transfer path
 G(s) = (s I + Lambda)^-1 C^T B, and checks every identity the design
-relies on, including the additive decomposition y = y_p + y_s along
-simulated trajectories.
+relies on against the named tolerances of numlin. The additive split
+y = y_p + y_s along a trajectory is sim.decompose.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .errors import (
     Uncontrollable,
     Unstable,
 )
+from .numlin import IDENTITY_RTOL, RANK_RTOL, SELECT_RTOL
 from .numlin import ackermann_gain, controllability_rank, real_eig, solve_lyapunov
-from .plants import UncertainPlant
 
 __all__ = [
     "LinearCore",
@@ -34,22 +34,18 @@ __all__ = [
     "build_core",
     "build_G",
     "ctb_invertible",
-    "decompose",
     "verify_theorem1",
 ]
-
-
-CTB_RTOL = 1e-10
 
 
 def ctb_invertible(C: np.ndarray, B: np.ndarray) -> bool:
     """Scale-relative invertibility of C^T B.
 
-    True when sigma_min(C^T B) > CTB_RTOL ||C||_2 ||B||_2, so the verdict
+    True when sigma_min(C^T B) > RANK_RTOL ||C||_2 ||B||_2, so the verdict
     does not change when B (or C) is rescaled.
     """
     smin = np.linalg.svd(C.T @ B, compute_uv=False)[-1]
-    return bool(smin > CTB_RTOL * np.linalg.norm(C, 2) * np.linalg.norm(B, 2))
+    return bool(smin > RANK_RTOL * np.linalg.norm(C, 2) * np.linalg.norm(B, 2))
 
 
 @dataclass(frozen=True)
@@ -124,8 +120,6 @@ def build_core(
     K_or_poles,
     selected_eigs: Sequence[float],
     M_choice: Optional[np.ndarray] = None,
-    tol: float = 1e-8,
-    select_tol: float = 1e-4,
 ) -> LinearCore:
     """Run design steps 1-2: feedback gain, output matrix, Lyapunov pair.
 
@@ -158,7 +152,7 @@ def build_core(
         )
 
     A = A0 + B @ K.T
-    pairs = real_eig(A, tol=tol)  # raises ComplexSpectrum
+    pairs = real_eig(A)  # raises ComplexSpectrum
     if any(p.value >= 0 for p in pairs):
         raise Unstable(f"A = A0 + B K^T is not Hurwitz: spectrum {[p.value for p in pairs]}")
 
@@ -177,7 +171,7 @@ def build_core(
             err = abs(p.value - want)
             if err < best_err:
                 best, best_err = i, err
-        if best is None or best_err > select_tol * scale:
+        if best is None or best_err > SELECT_RTOL * scale:
             raise SelectionNotEigenvalue(
                 f"{want} is not an (unused) eigenvalue of A; spectrum "
                 f"{[round(p.value, 6) for p in pairs]}"
@@ -192,12 +186,12 @@ def build_core(
 
     if not ctb_invertible(C, B):
         raise SingularCB(
-            f"sigma_min(C^T B) <= {CTB_RTOL:.0e} ||C|| ||B||; "
+            f"sigma_min(C^T B) <= {RANK_RTOL:.0e} ||C|| ||B||; "
             "the selected eigenvectors do not give an invertible transfer path"
         )
 
     resid = np.linalg.norm(C.T @ A + Lam @ C.T)
-    if resid > tol * np.linalg.norm(A):
+    if resid > IDENTITY_RTOL * np.linalg.norm(A):
         raise SelectionNotEigenvalue(
             f"C^T A + Lambda C^T residual {resid:.3e} exceeds tolerance"
         )
@@ -222,50 +216,12 @@ def build_G(core: LinearCore) -> LtiRealization:
     )
 
 
-def decompose(core: LinearCore, plant: UncertainPlant, trace):
-    """Primary/secondary output split (y_p, y_s) on the trace's grid.
-
-    Re-runs the recorded closed loop with the decomposition states
-    integrated alongside the plant, so the identity y_p + y_s = C^T x
-    holds to integration precision. The trace must carry its scenario
-    metadata (controller and integrator settings) as written by
-    sim.simulate.
-    """
-    from .controller_rt import ControllerSpec  # local import to avoid a cycle
-    from .errors import UnknownUncertainty
-    from .sim import SimConfig, simulate
-
-    if plant.input_delay > 0:
-        raise UnknownUncertainty(
-            "decomposition needs an input map evaluable at the current input"
-        )
-    md = trace.metadata
-    try:
-        spec = ControllerSpec(
-            core=core,
-            epsilon=md["epsilon"],
-            u_min=np.asarray(md["u_min"], dtype=float),
-            u_max=np.asarray(md["u_max"], dtype=float),
-            realization_kind=md["realization"],
-        )
-        cfg = SimConfig(
-            dt=md["dt"],
-            t_final=md["t_final"],
-            x0=np.asarray(md["x0"], dtype=float),
-            record_stride=md["record_stride"],
-        )
-    except KeyError as exc:
-        raise UnknownUncertainty(f"trace metadata missing field {exc}") from exc
-    rerun = simulate(plant, spec, cfg, with_decomposition=True)
-    return rerun.y_p, rerun.y_s
-
-
-def verify_theorem1(core: LinearCore, tol: float = 1e-8) -> StructureReport:
+def verify_theorem1(core: LinearCore) -> StructureReport:
     """Residual report for the output-redefinition identities."""
     resid = float(np.linalg.norm(core.C.T @ core.A + core.Lam @ core.C.T))
-    budget = tol * float(np.linalg.norm(core.A))
+    budget = IDENTITY_RTOL * float(np.linalg.norm(core.A))
     det_ctb = float(np.linalg.det(core.CtB))
-    c_rank = int(np.linalg.matrix_rank(core.C, tol=1e-10))
+    c_rank = int(np.linalg.matrix_rank(core.C, tol=RANK_RTOL))
     checks = {
         "output_identity": resid <= budget,
         "ctb_invertible": ctb_invertible(core.C, core.B),

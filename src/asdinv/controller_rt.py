@@ -32,6 +32,7 @@ __all__ = [
     "ObserverController",
     "pi_gains",
     "make_controller",
+    "closed_realization",
     "x_to_u_response",
 ]
 
@@ -179,15 +180,20 @@ def make_controller(spec: ControllerSpec):
     return ObserverController(spec)
 
 
+def closed_realization(spec: ControllerSpec) -> LtiRealization:
+    """The unsaturated x -> u map of the spec's kind: u = H s + D x closed
+    around s' = F s + Gx x + Gu u, i.e. D + H (sI - F - Gu H)^-1 (Gx + Gu D)."""
+    c = make_controller(spec)
+    return LtiRealization(F=c.F + c.Gu @ c.H, G_in=c.Gx + c.Gu @ c.D, H=c.H, D=c.D)
+
+
 def x_to_u_response(spec: ControllerSpec, omegas) -> np.ndarray:
     """Frequency response of the unsaturated x -> u map, shape (len(omegas), m, n).
 
-    Closing u = H s + D x around the realization of the requested kind
-    gives D + H (sI - F - Gu H)^-1 (Gx + Gu D), so comparing the two kinds
-    checks the algebraic equivalence u = -(I - Q)^-1 Q G^-1 C^T x.
+    Evaluates closed_realization(spec) at s = j omega; comparing the two
+    kinds checks the algebraic equivalence u = -(I - Q)^-1 Q G^-1 C^T x.
     """
-    c = make_controller(spec)
-    closed = LtiRealization(F=c.F + c.Gu @ c.H, G_in=c.Gx + c.Gu @ c.D, H=c.H, D=c.D)
+    closed = closed_realization(spec)
     out = np.empty((len(omegas), spec.core.m, spec.core.n), dtype=complex)
     for k, w in enumerate(omegas):
         out[k] = closed.response(1j * w)

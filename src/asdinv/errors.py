@@ -16,7 +16,7 @@ class DimensionMismatch(AsdinvError):
 
 
 class ComplexSpectrum(AsdinvError):
-    """The spectrum has an imaginary part above the requested tolerance."""
+    """The spectrum has an imaginary part of at least numlin.EIG_RTOL."""
 
 
 class Unstable(AsdinvError):
@@ -42,7 +42,7 @@ class SelectionNotEigenvalue(AsdinvError):
 
 
 class SingularCB(AsdinvError):
-    """det(C^T B) is below tolerance; the transfer path is not invertible."""
+    """C^T B fails asd_design.ctb_invertible; the transfer path is not invertible."""
 
 
 class LyapunovFailure(AsdinvError):

@@ -5,6 +5,10 @@ Kronecker-sum linear system, controllability rank, and single-input
 Ackermann pole placement. Everything here targets the small systems
 (n <= 9) this library works with; correctness is defined by explicit
 residual contracts, not by the algorithm used.
+
+Every pass/fail tolerance of the library is a named constant below,
+beside the scale it multiplies; the other modules import these names and
+no function takes a tolerance argument.
 """
 
 from __future__ import annotations
@@ -32,13 +36,25 @@ __all__ = [
     "is_hurwitz",
 ]
 
+# Pass/fail tolerances, each multiplying the scale named beside it.
+EIG_RTOL = 1e-8  # |Im lambda| (absolute); A^T v - lambda v residual x max(||A||_2, 1)
+RANK_RTOL = 1e-10  # singular values: x sigma_max, x ||C|| ||B|| for C^T B, x 1 for unit-column C
+SYM_RTOL = 1e-12  # asymmetry of a Lyapunov M, x max(||M||_F, 1)
+LYAP_RTOL = 1e-8  # Lyapunov residual, x (||P||_F ||A_cl||_F + ||M||_F)
+POLE_RTOL = 1e-10  # pole-placement backward error, x max(||A_cl||_2, 1)
+IDENTITY_RTOL = 1e-8  # C^T A + Lambda C^T residual, x ||A||_F
+SELECT_RTOL = 1e-4  # selected vs computed eigenvalue, x max(max|lambda|, 1)
+TRAJ_RTOL = 1e-6  # y_p + y_s = y and PI-vs-observer u along a trace, x the trace's max norm
+FREQ_ULPS = 10  # PI-vs-observer response, x eps_mach x max cond(jwI - F_cl) x max|H|
+CERT_ATOL = 1e-12  # slack on V <= ball radius, x 1 (absolute, in the units of V)
+
 
 @dataclass(frozen=True)
 class EigenPair:
     """A real eigenvalue of A and a unit-norm eigenvector of A^T.
 
-    The vector satisfies ``A.T @ vector == value * vector`` up to the
-    tolerance passed to :func:`real_eig`, with the sign fixed so the
+    The vector satisfies ``A.T @ vector == value * vector`` up to
+    EIG_RTOL times max(||A||_2, 1), with the sign fixed so the
     largest-magnitude entry is positive.
     """
 
@@ -88,14 +104,14 @@ def _diagonal_blocks(A: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def real_eig(A: np.ndarray, tol: float = 1e-8) -> list[EigenPair]:
+def real_eig(A: np.ndarray) -> list[EigenPair]:
     """Eigenvalues of square A with unit eigenvectors of A^T.
 
     Returns pairs sorted by ascending eigenvalue. When A is exactly
     block diagonal the decomposition is computed per block so repeated
     eigenvalues of decoupled blocks get block-local eigenvectors.
 
-    Raises ComplexSpectrum if any eigenvalue has |imag| >= tol.
+    Raises ComplexSpectrum if any eigenvalue has |imag| >= EIG_RTOL.
     """
     A = _require_finite(A, "A")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -106,9 +122,9 @@ def real_eig(A: np.ndarray, tol: float = 1e-8) -> list[EigenPair]:
     for idx in _diagonal_blocks(A):
         sub = A[np.ix_(idx, idx)]
         w, V = np.linalg.eig(sub.T)
-        if np.any(np.abs(w.imag) >= tol):
+        if np.any(np.abs(w.imag) >= EIG_RTOL):
             bad = w[np.argmax(np.abs(w.imag))]
-            raise ComplexSpectrum(f"eigenvalue {bad} has imaginary part >= {tol}")
+            raise ComplexSpectrum(f"eigenvalue {bad} has imaginary part >= {EIG_RTOL}")
         w = w.real
         V = V.real
         scale = max(np.linalg.norm(A, 2), 1.0)
@@ -119,9 +135,9 @@ def real_eig(A: np.ndarray, tol: float = 1e-8) -> list[EigenPair]:
             v[idx] = vk
             v = _fix_sign(v)
             resid = np.linalg.norm(A.T @ v - w[k] * v)
-            if resid > tol * scale:
+            if resid > EIG_RTOL * scale:
                 raise ComplexSpectrum(
-                    f"eigenpair residual {resid:.3e} exceeds {tol:.1e}*||A||"
+                    f"eigenpair residual {resid:.3e} exceeds {EIG_RTOL:.1e}*||A||"
                 )
             pairs.append(EigenPair(float(w[k]), v))
     pairs.sort(key=lambda p: p.value)
@@ -146,7 +162,7 @@ def solve_lyapunov(A_cl: np.ndarray, M: np.ndarray) -> np.ndarray:
         raise NonSquare(f"A_cl must be square, got {A_cl.shape}")
     if M.shape != A_cl.shape:
         raise DimensionMismatch(f"M shape {M.shape} != A_cl shape {A_cl.shape}")
-    if not np.allclose(M, M.T, rtol=0, atol=1e-12 * max(np.linalg.norm(M), 1.0)):
+    if not np.allclose(M, M.T, rtol=0, atol=SYM_RTOL * max(np.linalg.norm(M), 1.0)):
         raise SingularSystem("M is not symmetric")
     if np.min(np.linalg.eigvalsh((M + M.T) / 2)) <= 0:
         raise SingularSystem("M is not positive definite")
@@ -165,7 +181,7 @@ def solve_lyapunov(A_cl: np.ndarray, M: np.ndarray) -> np.ndarray:
     P = (P + P.T) / 2.0
 
     resid = np.linalg.norm(P @ A_cl + A_cl.T @ P + M)
-    budget = 1e-8 * (np.linalg.norm(P) * np.linalg.norm(A_cl) + np.linalg.norm(M))
+    budget = LYAP_RTOL * (np.linalg.norm(P) * np.linalg.norm(A_cl) + np.linalg.norm(M))
     if resid > budget:
         raise SingularSystem(
             f"Lyapunov residual {resid:.3e} exceeds budget {budget:.3e}"
@@ -173,7 +189,7 @@ def solve_lyapunov(A_cl: np.ndarray, M: np.ndarray) -> np.ndarray:
     return P
 
 
-def controllability_rank(A: np.ndarray, B: np.ndarray, tol: float = 1e-10) -> int:
+def controllability_rank(A: np.ndarray, B: np.ndarray) -> int:
     """Numerical rank of [B, AB, ..., A^(n-1) B]."""
     A = _require_finite(A, "A")
     B = _require_finite(B, "B")
@@ -194,7 +210,7 @@ def controllability_rank(A: np.ndarray, B: np.ndarray, tol: float = 1e-10) -> in
     if ctrb.shape[1] == 0:
         return 0
     sv = np.linalg.svd(ctrb, compute_uv=False)
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
 def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
@@ -234,7 +250,7 @@ def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
     K = -k_row.reshape(-1, 1)
 
     # verify by backward error: each target pole must be an exact eigenvalue
-    # of a matrix within 1e-10 * ||A_cl|| of A_cl. A forward comparison of
+    # of a matrix within POLE_RTOL * ||A_cl|| of A_cl. A forward comparison of
     # computed eigenvalues is not usable here: a weakly controllable pair
     # needs a large K, and eig's own error on A_cl then exceeds any fixed
     # tolerance even though the gain is correct to working precision.
@@ -242,6 +258,6 @@ def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
     scale = max(np.linalg.norm(A_cl, 2), 1.0)
     eye = np.eye(n)
     for p in poles:
-        if np.linalg.svd(A_cl - p * eye, compute_uv=False)[-1] > 1e-10 * scale:
+        if np.linalg.svd(A_cl - p * eye, compute_uv=False)[-1] > POLE_RTOL * scale:
             raise Uncontrollable("pole placement verification failed")
     return K

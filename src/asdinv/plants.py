@@ -174,7 +174,6 @@ class QuadrotorConfig:
     omega: float = 15.0
     J0: np.ndarray = field(default_factory=lambda: np.diag([0.03, 0.03, 0.04]))
     J_true: Optional[np.ndarray] = None  # defaults to J0 (no uncertainty)
-    K0: Optional[np.ndarray] = None  # per-channel 3x1 gain; default places {-15,-3,-1}
 
     def __post_init__(self):
         J0 = np.asarray(self.J0, dtype=float)
@@ -189,9 +188,6 @@ class QuadrotorConfig:
                 raise SingularInertia(f"{name} must be 3x3 symmetric")
             if np.min(np.linalg.eigvalsh(J)) <= 0:
                 raise SingularInertia(f"{name} must be positive definite")
-        K0 = self.K0
-        K0 = _quad_channel_gain() if K0 is None else np.asarray(K0, dtype=float).reshape(3, 1)
-        object.__setattr__(self, "K0", K0)
 
 
 def quadrotor_attitude(cfg: QuadrotorConfig | None = None) -> UncertainPlant:
@@ -207,7 +203,7 @@ def quadrotor_attitude(cfg: QuadrotorConfig | None = None) -> UncertainPlant:
     B0c = np.array([[0.0], [0.0], [om]])
     Abar = np.kron(np.eye(3), A0c)
     B = np.kron(np.eye(3), B0c)
-    Kbar = np.kron(np.eye(3), cfg.K0)
+    Kbar = np.kron(np.eye(3), _quad_channel_gain())
     A0 = Abar + B @ Kbar.T
 
     G = np.linalg.solve(cfg.J_true, cfg.J0)  # J^-1 J0
@@ -230,50 +226,33 @@ def synthetic_lti(
     S: np.ndarray | None = None,
     d_amp: float = 0.0,
     d_freq: float = 1.0,
-    A0: np.ndarray | None = None,
-    B: np.ndarray | None = None,
 ) -> UncertainPlant:
-    """Linear test plant with every assumption constant known in closed form.
+    """Single-input double integrator with every assumption constant known
+    in closed form.
 
-    h(t, u) = g u and sigma(t, x) = S x + d_amp sin(d_freq t) 1. Defaults
-    to a double integrator with a single input.
+    x' = [[0, 1], [0, 0]] x + [0, 1]^T (h + sigma), with h(t, u) = g u and
+    sigma(t, x) = S x + d_amp sin(d_freq t); S is 1 x 2 (zero by default).
     """
     if g <= 0:
         raise ValueError("input gain g must be positive")
-    if A0 is None:
-        A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
-    else:
-        A0 = np.asarray(A0, dtype=float)
-    n = A0.shape[0]
-    if B is None:
-        B = np.zeros((n, 1))
-        B[-1, 0] = 1.0
-    else:
-        B = np.asarray(B, dtype=float)
-    m = B.shape[1]
-    S = np.zeros((m, n)) if S is None else np.asarray(S, dtype=float).reshape(m, n)
+    A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    B = np.array([[0.0], [1.0]])
+    S = np.zeros((1, 2)) if S is None else np.asarray(S, dtype=float).reshape(1, 2)
 
     s_norm = float(np.linalg.norm(S, 2))
-    ones = np.ones(m)
     consts = AssumptionConstants(
-        l_ht=0.0,
-        l_hu_low=g,
-        l_hu_high=g,
-        k_sigma=s_norm,
-        delta_sigma=abs(d_amp) * np.sqrt(m),
-        l_sigma_x=s_norm,
-        l_sigma_t=0.0,
-        d_sigma=abs(d_amp) * d_freq * np.sqrt(m),
+        l_hu_low=g, l_hu_high=g, k_sigma=s_norm, l_sigma_x=s_norm,
+        delta_sigma=abs(d_amp), d_sigma=abs(d_amp) * d_freq,
     )
 
     def h(t, u, x):
         return g * u
 
     def sigma(t, x):
-        return S @ x + d_amp * np.sin(d_freq * t) * ones
+        return S @ x + d_amp * np.sin(d_freq * t)
 
     return UncertainPlant(
-        "synthetic_lti", n, m, A0, B, h, sigma, constants=consts,
+        "synthetic_lti", 2, 1, A0, B, h, sigma, constants=consts,
         meta={"g": g, "S": S, "d_amp": d_amp, "d_freq": d_freq},
     )
 

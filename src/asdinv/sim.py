@@ -17,13 +17,16 @@ from typing import Optional
 
 import numpy as np
 
+from .asd_design import LinearCore
 from .controller_rt import ControllerSpec, make_controller
-from .errors import EmptyTrace, NonFiniteState
+from .errors import EmptyTrace, NonFiniteState, UnknownUncertainty
 from .plants import UncertainPlant
 
-__all__ = ["SimConfig", "Trace", "Metrics", "simulate", "energy_index", "metrics", "export_csv"]
+__all__ = ["SimConfig", "Trace", "Metrics", "simulate", "decompose", "energy_index", "metrics",
+           "export_csv"]
 
 _BLOWUP = 1e12
+_THETA = 1e-2  # the ||x|| level whose last crossing is time_to_threshold
 
 
 @dataclass(frozen=True)
@@ -222,6 +225,26 @@ def simulate(
     return trace
 
 
+def decompose(core: LinearCore, plant: UncertainPlant, trace: Trace):
+    """Primary/secondary output split (y_p, y_s) on the trace's grid.
+
+    Re-runs the recorded closed loop with the decomposition states
+    integrated alongside the plant, so the identity y_p + y_s = C^T x
+    holds to integration precision. The trace must carry its scenario
+    metadata (controller and integrator settings) as written by simulate.
+    """
+    if plant.input_delay > 0:
+        raise UnknownUncertainty("decomposition needs an input map evaluable at the current input")
+    md = trace.metadata
+    try:
+        spec = ControllerSpec(core, md["epsilon"], md["u_min"], md["u_max"], md["realization"])
+        cfg = SimConfig(md["dt"], md["t_final"], md["x0"], md["record_stride"])
+    except KeyError as exc:
+        raise UnknownUncertainty(f"trace metadata missing field {exc}") from exc
+    rerun = simulate(plant, spec, cfg, with_decomposition=True)
+    return rerun.y_p, rerun.y_s
+
+
 def energy_index(trace: Trace) -> np.ndarray:
     """Cumulative total variation of u: E(t_k) = sum ||u_{j+1} - u_j||_1."""
     if len(trace) < 2:
@@ -230,17 +253,17 @@ def energy_index(trace: Trace) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(du)])
 
 
-def metrics(trace: Trace, theta: float = 1e-2) -> Metrics:
+def metrics(trace: Trace) -> Metrics:
     if len(trace) == 0:
         raise EmptyTrace("empty trace")
     norms = np.linalg.norm(trace.x, axis=1)
     tail_start = int(np.floor(0.8 * len(norms)))
     sup_tail = float(np.max(norms[tail_start:]))
 
-    below = norms <= theta
+    below = norms <= _THETA
     ttt = None
     if below[-1]:
-        # first index after which the norm never exceeds theta again
+        # first index after which the norm never exceeds _THETA again
         idx = len(below) - 1
         while idx > 0 and below[idx - 1]:
             idx -= 1

@@ -90,6 +90,19 @@ class TestExitCodes:
         assert code == EXIT_CONSTANTS
         assert "missing constants" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, override", [
+        ("simulate", "saturation.min=10"),
+        ("simulate", "realization=smith"),
+        ("simulate", "sim.x0=[1,0]"),
+        ("design", "saturation={}"),
+        ("design", 'design.poles=[-1,"a",-3]'),
+        ("design", 'design.select=["a"]'),
+    ])
+    def test_scenario_fault_is_config_error(self, tmp_path, capsys, command, override):
+        code = run([command, "--scenario", "siso", "--set", override, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
 
 class TestOutputs:
     def test_design_outputs(self, tmp_path):
@@ -134,6 +147,15 @@ class TestOutputs:
         assert v["checks"]["asd_identity"] is True
         assert v["checks"]["realization_equivalence"] is True
         assert v["checks"]["frequency_response_match"] is True
+
+    def test_verify_small_epsilon_f16(self, tmp_path):
+        # the PI and observer responses differ by round-off amplified by
+        # cond(jwI - F_cl), about 7e-10 relative here; correct controllers pass
+        code = run([
+            "verify", "--scenario", "f16", "--set", "epsilon=0.005",
+            "--set", "sim.t_final=0.5", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_OK
 
     def test_bound_outputs(self, tmp_path):
         code = run(["bound", "--scenario", "synthetic", "--out", str(tmp_path)])

@@ -244,3 +244,27 @@ class TestAckermann:
 def test_is_hurwitz():
     assert is_hurwitz(-np.eye(3))
     assert not is_hurwitz(np.diag([-1.0, 0.5]))
+
+
+def test_no_tolerance_parameters():
+    # every pass/fail tolerance is a named constant of numlin, never an argument
+    import inspect
+
+    import asdinv
+    from asdinv import analysis, asd_design, cli, controller_rt, numlin, plants, sim
+
+    found = []
+    for module in (asdinv, numlin, plants, asd_design, controller_rt, sim, analysis, cli):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not getattr(obj, "__module__", "").startswith("asdinv"):
+                continue
+            if not callable(obj) or (inspect.isclass(obj) and issubclass(obj, Exception)):
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{k}", v) for k, v in vars(obj).items()
+                            if not k.startswith("_") and inspect.isfunction(v)]
+            for qual, fn in members:
+                params = inspect.signature(fn).parameters
+                found += [f"{qual}({p})" for p in params if p == "tol" or p.endswith("_tol")]
+    assert not found, found
