@@ -17,7 +17,7 @@ from .asd_design import LinearCore
 from .errors import EtaNonpositive, UnknownUncertainty
 from .numlin import CERT_ATOL
 from .plants import AssumptionConstants, UncertainPlant
-from .sim import Trace
+from .sim import Trace, entry_time
 
 __all__ = [
     "BoundReport",
@@ -200,15 +200,8 @@ def lyapunov_certificate(
         if ev > 0:
             drive = (c.l_ht / c.l_hu_low) * c.delta_sigma + c.d_sigma
             radius = (1.0 / ev) * (eps / c.l_hu_low) * drive**2
-            inside = V <= radius + CERT_ATOL
-            if inside[-1]:
-                idx = len(inside) - 1
-                while idx > 0 and inside[idx - 1]:
-                    idx -= 1
-                entered = float(trace.t[idx])
-                stays = True
-            else:
-                stays = False
+            entered = entry_time(trace.t, V <= radius + CERT_ATOL)
+            stays = entered is not None
     return CertificateSeries(
         t=trace.t.copy(), V=V, v=vs, ball_radius=radius,
         entered_ball_at=entered, stays_in_ball=stays,

@@ -37,10 +37,6 @@ class Scenario:
     name: str
     raw: dict
 
-    @property
-    def plant_cfg(self) -> dict:
-        return self.raw["plant"]
-
 
 def _load_raw(ref: str) -> dict:
     path = Path(ref)
@@ -89,7 +85,8 @@ def load_scenario(ref: str, overrides=()) -> Scenario:
     for fieldname in ("plant", "design", "epsilon", "saturation", "sim"):
         if fieldname not in raw:
             raise ConfigError(f"scenario {ref!r} is missing the {fieldname!r} field")
-    if not (isinstance(raw["epsilon"], (int, float)) and raw["epsilon"] > 0):
+    eps = raw["epsilon"]
+    if isinstance(eps, bool) or not (isinstance(eps, (int, float)) and eps > 0):
         raise ConfigError("field 'epsilon' must be a positive number")
     return Scenario(name=raw.get("name", ref), raw=raw)
 
@@ -106,7 +103,7 @@ def _synthetic_kwargs(cfg: dict) -> dict:
 
 
 def build_plant(sc: Scenario) -> plants.UncertainPlant:
-    cfg = dict(sc.plant_cfg)
+    cfg = dict(sc.raw["plant"])
     kind = cfg.pop("kind", None)
     try:
         if kind == "hsu_siso":
@@ -137,7 +134,7 @@ def build_core(sc: Scenario, plant: plants.UncertainPlant) -> asd_design.LinearC
     design = sc.raw["design"]
     if "select" not in design:
         raise ConfigError("field 'design.select' is required")
-    K, poles, M = design.get("K"), design.get("poles"), design.get("M")
+    K, poles = design.get("K"), design.get("poles")
     if K is None and poles is None:
         raise ConfigError("field 'design': one of 'K' or 'poles' is required")
     try:
@@ -146,10 +143,9 @@ def build_core(sc: Scenario, plant: plants.UncertainPlant) -> asd_design.LinearC
         else:
             K_or_poles = np.asarray(poles if K is None else K, dtype=float)
         select = [float(v) for v in design["select"]]
-        M_choice = None if M is None else np.asarray(M, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'design' section: {exc}") from exc
-    return asd_design.build_core(plant.A0, plant.B, K_or_poles, select, M_choice=M_choice)
+    return asd_design.build_core(plant.A0, plant.B, K_or_poles, select)
 
 
 def build_controller_spec(sc: Scenario, core) -> ControllerSpec:
@@ -267,13 +263,7 @@ def cmd_simulate(sc: Scenario, args) -> int:
     _write_json(out / "summary.json", {
         "scenario": sc.name,
         "diverged": False,
-        "metrics": {
-            "energy": m.energy,
-            "sup_tail": m.sup_tail,
-            "time_to_threshold": m.time_to_threshold,
-            "max_abs_u": m.max_abs_u,
-            "sat_fraction": m.sat_fraction,
-        },
+        "metrics": dataclasses.asdict(m),
         "config": trace.metadata,
     })
     print(f"[{sc.name}] sup-tail ||x|| = {m.sup_tail:.3e}, E = {m.energy:.3f}, "

@@ -25,6 +25,7 @@ import numpy as np
 
 from .asd_design import LinearCore, LtiRealization, ctb_invertible
 from .errors import NonFiniteInput, SingularCB
+from .numlin import rk4_step
 
 __all__ = [
     "ControllerSpec",
@@ -99,12 +100,8 @@ class _ControllerBase:
         if not np.all(np.isfinite(v)):
             raise NonFiniteInput("controller input contains non-finite entries")
         u = np.minimum(np.maximum(self._output(self.state, v), self.spec.u_min), self.spec.u_max)
-        d, s = self._deriv, self.state
-        k1 = d(s, v, u)
-        k2 = d(s + dt / 2 * k1, v, u)
-        k3 = d(s + dt / 2 * k2, v, u)
-        k4 = d(s + dt * k3, v, u)
-        self.state = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        f = lambda _t, s: self._deriv(s, v, u)
+        self.state = rk4_step(f, 0.0, self.state, dt, f(0.0, self.state))
         return u
 
 
@@ -113,14 +110,13 @@ class PiController(_ControllerBase):
 
     def __init__(self, spec: ControllerSpec):
         self.Kp, self.Ki = pi_gains(spec.core, spec.epsilon)
-        self._neg_Kp = -self.Kp
         m = spec.core.m
         self.F, self.Gx, self.Gu = np.zeros((m, m)), self.Ki, np.zeros((m, m))
-        self.H, self.D = -np.eye(m), self._neg_Kp
+        self.H, self.D = -np.eye(m), -self.Kp
         super().__init__(spec)
 
     def unsat_output(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._neg_Kp @ x - s
+        return self.D @ x - s
 
     def derivative(self, s: np.ndarray, x: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
         return self.Ki @ x

@@ -1,10 +1,12 @@
 """Dense small-matrix numerical kernel.
 
 Real eigendecomposition (left eigenvectors), Lyapunov solve via the
-Kronecker-sum linear system, controllability rank, and single-input
-Ackermann pole placement. Everything here targets the small systems
-(n <= 9) this library works with; correctness is defined by explicit
-residual contracts, not by the algorithm used.
+Kronecker-sum linear system, controllability rank, single-input
+Ackermann pole placement, and the classical RK4 step that both the
+closed-loop simulator and the stand-alone controller take. Everything
+here targets the small systems (n <= 9) this library works with;
+correctness is defined by explicit residual contracts, not by the
+algorithm used.
 
 Every pass/fail tolerance of the library is a named constant below,
 beside the scale it multiplies; the other modules import these names and
@@ -34,6 +36,7 @@ __all__ = [
     "controllability_rank",
     "ackermann_gain",
     "is_hurwitz",
+    "rk4_step",
 ]
 
 # Pass/fail tolerances, each multiplying the scale named beside it.
@@ -83,25 +86,13 @@ def _diagonal_blocks(A: np.ndarray) -> list[np.ndarray]:
     decoupled channels attached to per-channel eigenvectors.
     """
     n = A.shape[0]
-    adj = (A != 0.0) | (A.T != 0.0)
-    np.fill_diagonal(adj, True)
-    seen = np.zeros(n, dtype=bool)
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        comp = []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in np.nonzero(adj[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        blocks.append(np.array(sorted(comp)))
-    return blocks
+    # transitive closure by boolean squaring: after k squarings reach[i, j]
+    # holds for every path of length <= 2^k, and n.bit_length() covers n - 1
+    reach = (A != 0.0) | (A.T != 0.0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    # each block once, from the row of its smallest member
+    return [np.flatnonzero(row) for i, row in enumerate(reach) if row.argmax() == i]
 
 
 def real_eig(A: np.ndarray) -> list[EigenPair]:
@@ -189,6 +180,14 @@ def solve_lyapunov(A_cl: np.ndarray, M: np.ndarray) -> np.ndarray:
     return P
 
 
+def _ctrb(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The controllability matrix [B, AB, ..., A^(n-1) B]."""
+    blocks = [B]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(A @ blocks[-1])
+    return np.hstack(blocks)
+
+
 def controllability_rank(A: np.ndarray, B: np.ndarray) -> int:
     """Numerical rank of [B, AB, ..., A^(n-1) B]."""
     A = _require_finite(A, "A")
@@ -197,11 +196,7 @@ def controllability_rank(A: np.ndarray, B: np.ndarray) -> int:
         raise NonSquare(f"A must be square, got {A.shape}")
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise DimensionMismatch(f"B shape {B.shape} incompatible with A {A.shape}")
-    n = A.shape[0]
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    ctrb = np.hstack(blocks)
+    ctrb = _ctrb(A, B)
     # normalize columns before the SVD: A^k B grows like |lambda|^k and the
     # raw matrix can look rank-deficient at n = 9 even for controllable pairs
     norms = np.linalg.norm(ctrb, axis=0)
@@ -234,10 +229,7 @@ def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
     if controllability_rank(A0, b) < n:
         raise Uncontrollable("(A0, b) is not controllable")
 
-    blocks = [b]
-    for _ in range(n - 1):
-        blocks.append(A0 @ blocks[-1])
-    ctrb = np.hstack(blocks)
+    ctrb = _ctrb(A0, b)
 
     coeffs = np.poly(poles)  # monic desired characteristic polynomial
     pA = np.zeros_like(A0)
@@ -261,3 +253,16 @@ def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
         if np.linalg.svd(A_cl - p * eye, compute_uv=False)[-1] > POLE_RTOL * scale:
             raise Uncontrollable("pole placement verification failed")
     return K
+
+
+def rk4_step(f, t: float, s: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of s' = f(t, s) from (t, s), given k1 = f(t, s).
+
+    The caller evaluates k1 itself, so it can also keep what that
+    evaluation yields at the step point.
+    """
+    half = dt / 2
+    k2 = f(t + half, s + half * k1)
+    k3 = f(t + half, s + half * k2)
+    k4 = f(t + dt, s + dt * k3)
+    return s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)

@@ -3,10 +3,10 @@
 Classical RK4 on the augmented state (plant + controller + the primary
 output y_p, and optionally the secondary output y_s). Saturation is
 applied inside the derivative evaluation, so the plant always sees the
-clamped input. Each of the four stages of a step evaluates the
-controller output once; the first stage, at the step point, doubles as
-the recorded sample u(t_k) and its saturation flag. Deterministic:
-identical configs give identical traces.
+clamped input. The stages come from numlin.rk4_step, and each of the
+four evaluates the controller output once; the first stage, at the step
+point, doubles as the recorded sample u(t_k) and its saturation flag.
+Deterministic: identical configs give identical traces.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ import numpy as np
 from .asd_design import LinearCore
 from .controller_rt import ControllerSpec, make_controller
 from .errors import EmptyTrace, NonFiniteState, UnknownUncertainty
+from .numlin import rk4_step
 from .plants import UncertainPlant
 
 __all__ = ["SimConfig", "Trace", "Metrics", "simulate", "decompose", "energy_index", "metrics",
-           "export_csv"]
+           "entry_time", "export_csv"]
 
 _BLOWUP = 1e12
 _THETA = 1e-2  # the ||x|| level whose last crossing is time_to_threshold
@@ -102,7 +103,6 @@ def simulate(
     q = ctrl.state_dim
     nq, nqm = n + q, n + q + m
     dt = simcfg.dt
-    half, sixth = dt / 2, dt / 6
     nsteps = int(round(simcfg.t_final / dt))
 
     lam_fast = float(np.max(np.abs(np.linalg.eigvals(core.A))))
@@ -171,16 +171,14 @@ def simulate(
         rec_u[j] = u
         rec_sat[j] = np.any(u != u_unsat)
 
+    f = lambda t, s: deriv(t, s)[0]
     t = 0.0
     blowup_time = None
     for k in range(nsteps):
         k1, u, u_unsat = deriv(t, s, True)
         if k % stride == 0:
             record(k // stride, s, u, u_unsat)
-        k2 = deriv(t + half, s + half * k1)[0]
-        k3 = deriv(t + half, s + half * k2)[0]
-        k4 = deriv(t + dt, s + dt * k3)[0]
-        s = s + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        s = rk4_step(f, t, s, dt, k1)
         t = (k + 1) * dt
         # the negated comparison also catches NaN and inf
         if not np.abs(s).max() <= _BLOWUP:
@@ -194,12 +192,13 @@ def simulate(
 
     S = rec_s[:nrec]
     X = S[:, :n]
+    Y = X @ core.C
     trace = Trace(
         t=(np.arange(nrec) * stride) * dt,
         x=X,
         u=rec_u[:nrec],
-        y=X @ core.C,
-        d_hat=X @ core.C - S[:, nq:nqm],
+        y=Y,
+        d_hat=Y - S[:, nq:nqm],
         sat=rec_sat[:nrec],
         metadata={
             "scenario": scenario_name or plant.name,
@@ -260,22 +259,22 @@ def metrics(trace: Trace) -> Metrics:
     tail_start = int(np.floor(0.8 * len(norms)))
     sup_tail = float(np.max(norms[tail_start:]))
 
-    below = norms <= _THETA
-    ttt = None
-    if below[-1]:
-        # first index after which the norm never exceeds _THETA again
-        idx = len(below) - 1
-        while idx > 0 and below[idx - 1]:
-            idx -= 1
-        ttt = float(trace.t[idx])
-
     return Metrics(
         energy=float(energy_index(trace)[-1]) if len(trace) >= 2 else 0.0,
         sup_tail=sup_tail,
-        time_to_threshold=ttt,
+        time_to_threshold=entry_time(trace.t, norms <= _THETA),
         max_abs_u=np.max(np.abs(trace.u), axis=0),
         sat_fraction=float(np.mean(trace.sat)),
     )
+
+
+def entry_time(t: np.ndarray, inside: np.ndarray) -> Optional[float]:
+    """The first t[k] from which inside holds to the end, or None if the
+    last sample is outside."""
+    if not inside[-1]:
+        return None
+    outside = np.flatnonzero(~inside)
+    return float(t[outside[-1] + 1 if outside.size else 0])
 
 
 def export_csv(trace: Trace, path) -> None:

@@ -99,6 +99,11 @@ class TestRealization:
         want = np.linalg.solve(siso_core.Lam, siso_core.CtB)
         np.testing.assert_allclose(G.dc_gain(), want, atol=1e-12)
 
+    def test_dc_gain_is_response_at_zero(self, siso_core, f16_core):
+        for core in (siso_core, f16_core):
+            G = build_G(core)
+            assert np.array_equal(G.dc_gain(), G.response(0.0))
+
     def test_response_matches_closed_form(self, f16_core):
         G = build_G(f16_core)
         for w in (0.1, 1.0, 10.0):

@@ -71,6 +71,15 @@ class TestExitCodes:
         ])
         assert code == EXIT_CONFIG
 
+    def test_boolean_epsilon_is_config_error(self, tmp_path, capsys):
+        # JSON true is a bool, which Python counts as the int 1
+        code = run([
+            "simulate", "--scenario", "synthetic", "--set", "epsilon=true",
+            "--out", str(tmp_path),
+        ])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_divergence(self, tmp_path):
         # widen saturation and shrink the filter constant far below the
         # loop delay: the delayed loop blows up past the finite range

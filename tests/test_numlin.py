@@ -19,6 +19,7 @@ from asdinv import (
     real_eig,
     solve_lyapunov,
 )
+from asdinv.numlin import _diagonal_blocks, rk4_step
 
 
 def random_stable(rng, n):
@@ -268,3 +269,41 @@ def test_no_tolerance_parameters():
                 params = inspect.signature(fn).parameters
                 found += [f"{qual}({p})" for p in params if p == "tol" or p.endswith("_tol")]
     assert not found, found
+
+
+@pytest.mark.parametrize("z", [0.0, -0.25, -1.0, -2.0, -2.7])
+def test_rk4_step_linear_scalar(z):
+    # on s' = lam s one classical RK4 step multiplies s by the degree-4
+    # Taylor polynomial of exp(z), z = lam dt
+    lam = -2.0
+    dt = z / lam
+    s0 = np.array([1.5, -0.25, 3.0])
+    f = lambda t, s: lam * s
+    got = rk4_step(f, 0.0, s0, dt, f(0.0, s0))
+    want = s0 * (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_diagonal_blocks_recovers_permuted_partition():
+    rng = np.random.default_rng(1234)
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+        A = np.zeros((n, n))
+        groups = np.split(np.arange(n), cuts)
+        for g in groups:
+            # a random spanning chain keeps the block connected, whatever the
+            # direction of each entry; extra entries inside the block only
+            order = rng.permutation(g)
+            for i, j in zip(order[:-1], order[1:]):
+                if rng.random() < 0.5:
+                    i, j = j, i
+                A[i, j] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+            extra = rng.random((len(g), len(g))) < 0.3
+            A[np.ix_(g, g)] += extra * rng.standard_normal((len(g), len(g)))
+        perm = rng.permutation(n)
+        Ap = A[np.ix_(perm, perm)]  # index i of Ap is index perm[i] of A
+        want = sorted((sorted(np.flatnonzero(np.isin(perm, g)).tolist()) for g in groups),
+                      key=lambda b: b[0])
+        got = [b.tolist() for b in _diagonal_blocks(Ap)]
+        assert got == want, (A, perm)

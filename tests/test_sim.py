@@ -423,3 +423,17 @@ class TestCsv:
             row = [tr.t[k]] + list(tr.x[k]) + list(tr.u[k]) + list(tr.y[k]) + list(tr.d_hat[k])
             lines.append(",".join(repr(float(v)) for v in row) + f",{int(tr.sat[k])}\n")
         assert path.read_bytes() == "".join(lines).encode()
+
+
+class TestEntryTime:
+    t = np.array([0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+
+    def test_all_inside_gives_first_time(self):
+        assert sim.entry_time(self.t, np.ones(6, dtype=bool)) == 0.5
+
+    def test_last_sample_outside_gives_none(self):
+        assert sim.entry_time(self.t, np.array([True] * 5 + [False])) is None
+
+    def test_leave_and_reenter_gives_last_entry(self):
+        inside = np.array([True, True, False, False, True, True])
+        assert sim.entry_time(self.t, inside) == 0.9
