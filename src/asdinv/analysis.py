@@ -179,17 +179,9 @@ def lyapunov_certificate(
     """
     if plant.input_delay > 0:
         raise UnknownUncertainty("certificate needs an undelayed input map")
-    P = core.P
-    Kt = core.K.T
-    V = np.empty(len(trace))
-    vs = np.empty((len(trace), core.m))
-    for k in range(len(trace)):
-        x = trace.x[k]
-        u = trace.u[k]
-        t = trace.t[k]
-        v = plant.h(t, u, x) - Kt @ x + plant.sigma(t, x)
-        vs[k] = v
-        V[k] = x @ P @ x + v @ v
+    P, X = core.P, trace.x
+    vs = plant.mismatch(trace.t, X, trace.u) - X @ core.K
+    V = np.einsum("ij,jk,ik->i", X, P, X) + np.einsum("ij,ij->i", vs, vs)
 
     radius = entered = stays = None
     eps = epsilon if epsilon is not None else trace.metadata.get("epsilon")
@@ -216,10 +208,11 @@ def sample_constants(
 ) -> dict:
     """Rough finite-difference estimates of the assumption constants.
 
-    Samples t = 0, 1, ..., 10 s and `grid` seeded draws of u and x from
-    [-u_scale, u_scale]^m and [-x_scale, x_scale]^n; forward differences
-    of step 1e-6 in t and u. Diagnostic only: lower bounds on the true
-    suprema, never to back an assertion.
+    One array evaluation over the 11 grid^2 (t, u, x) rows of t = 0, 1, ...,
+    10 s and `grid` seeded draws each of u from [-u_scale, u_scale]^m and x
+    from [-x_scale, x_scale]^n; forward differences of step 1e-6 in t and u.
+    Diagnostic only: lower bounds on the true suprema, never to back an
+    assertion.
     """
     fd_step = 1e-6
     if plant.input_delay > 0:
@@ -228,35 +221,24 @@ def sample_constants(
     rng = np.random.default_rng(0)
     us = rng.uniform(-u_scale, u_scale, size=(grid, m))
     xs = rng.uniform(-x_scale, x_scale, size=(grid, n))
-
-    l_ht = 0.0
-    dhdu_min = math.inf
-    dhdu_max = 0.0
-    sig_t = 0.0
-    sig0 = 0.0
-    for t in np.linspace(0.0, 10.0, 11):
-        for u in us:
-            for x in xs:
-                h0 = plant.h(t, u, x)
-                ht = plant.h(t + fd_step, u, x)
-                du_norm = max(np.linalg.norm(u), 1e-9)
-                l_ht = max(l_ht, np.linalg.norm(ht - h0) / fd_step / du_norm)
-                J = np.empty((m, m))
-                for j in range(m):
-                    up = u.copy()
-                    up[j] += fd_step
-                    J[:, j] = (plant.h(t, up, x) - h0) / fd_step
-                sym = np.linalg.eigvalsh((J + J.T) / 2)
-                dhdu_min = min(dhdu_min, float(sym[0]))
-                dhdu_max = max(dhdu_max, float(np.linalg.norm(J, 2)))
-                s0 = plant.sigma(t, x)
-                st = plant.sigma(t + fd_step, x)
-                sig_t = max(sig_t, np.linalg.norm(st - s0) / fd_step)
-        sig0 = max(sig0, float(np.linalg.norm(plant.sigma(t, np.zeros(n)))))
+    ts = np.linspace(0.0, 10.0, 11)
+    it, iu, ix = np.indices((len(ts), grid, grid)).reshape(3, -1)
+    t, u, x = ts[it], us[iu], xs[ix]
+    norm = lambda a: np.linalg.norm(a, axis=-1)
+    h0 = plant.h(t, u, x)
+    l_ht = norm(plant.h(t + fd_step, u, x) - h0) / fd_step / np.maximum(norm(u), 1e-9)
+    J = np.empty((len(t), m, m))
+    for j in range(m):
+        up = u.copy()
+        up[:, j] += fd_step
+        J[:, :, j] = (plant.h(t, up, x) - h0) / fd_step
+    sym = np.linalg.eigvalsh((J + J.transpose(0, 2, 1)) / 2)
+    sig_t = norm(plant.sigma(t + fd_step, x) - plant.sigma(t, x)) / fd_step
+    sig0 = norm(plant.sigma(ts, np.zeros((len(ts), n))))
     return {
-        "l_ht_est": float(l_ht),
-        "l_hu_low_est": float(dhdu_min),
-        "l_hu_high_est": float(dhdu_max),
-        "sigma_t_est": float(sig_t),
-        "sigma_at_zero_est": float(sig0),
+        "l_ht_est": float(np.max(l_ht)),
+        "l_hu_low_est": float(np.min(sym[:, 0])),
+        "l_hu_high_est": float(np.max(np.linalg.norm(J, 2, axis=(1, 2)))),
+        "sigma_t_est": float(np.max(sig_t)),
+        "sigma_at_zero_est": float(np.max(sig0)),
     }

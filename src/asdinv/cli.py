@@ -38,6 +38,10 @@ class Scenario:
     raw: dict
 
 
+def _finite_only(token: str):
+    raise ConfigError(f"{token} in scenario: scenario numbers must be finite")
+
+
 def _load_raw(ref: str) -> dict:
     path = Path(ref)
     if path.suffix == ".json" and path.exists():
@@ -47,14 +51,14 @@ def _load_raw(ref: str) -> dict:
     else:
         raise ConfigError(f"unknown scenario {ref!r}: not a bundled name {BUNDLED} or a .json path")
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_finite_only)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario {ref!r} is not valid JSON: {exc}") from exc
 
 
 def _apply_override(raw: dict, key: str, value: str) -> None:
     try:
-        parsed = json.loads(value)
+        parsed = json.loads(value, parse_constant=_finite_only)
     except json.JSONDecodeError:
         parsed = value
     parts = key.split(".")
@@ -169,7 +173,7 @@ def build_sim_config(sc: Scenario) -> sim.SimConfig:
             dt=float(s["dt"]),
             t_final=float(s["t_final"]),
             x0=np.asarray(s["x0"], dtype=float),
-            record_stride=int(s.get("record_stride", 1)),
+            record_stride=s.get("record_stride", 1),
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad 'sim' section: {exc}") from exc
@@ -207,7 +211,7 @@ def _out_dir(args, sc: Scenario) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
+    path.write_text(json.dumps(payload, indent=2, default=_json_default, allow_nan=False) + "\n")
 
 
 def _json_default(obj):

@@ -8,6 +8,10 @@ with an unknown input map h and an unknown state/time disturbance sigma.
 The input map takes the full state as a third argument because the F-16
 benchmark's input nonlinearities also depend on the state; plants with a
 purely input-dependent h simply ignore it.
+
+Both maps take one sample (t scalar, u (m,), x (n,)) and return (m,), or N
+rows (t (N,), u (N, m), x (N, n)) and return (N, m). They index x.T and u.T,
+which on one sample are x and u, so one sample costs the scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ class AssumptionConstants:
 
 @dataclass(frozen=True)
 class UncertainPlant:
+    """x' = A0 x + B (h(t, u, x) + sigma(t, x)); h, sigma take one sample or N rows."""
+
     name: str
     n: int
     m: int
@@ -100,12 +106,13 @@ def hsu_siso() -> UncertainPlant:
     B = np.array([[0.0], [0.0], [1.0]])
 
     def h(t, u, x):
-        ui = u[0]
-        return np.array([(0.5 + 0.3 * np.sin(ui) + np.exp(0.2 * abs(np.cos(ui)))) * ui])
+        ui = u.T[0]
+        return np.array([(0.5 + 0.3 * np.sin(ui) + np.exp(0.2 * abs(np.cos(ui)))) * ui]).T
 
     def sigma(t, x):
-        r = np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
-        return np.array([(0.3 + 0.2 * np.cos(x[0])) * r - 0.5 * np.sin(x[1])])
+        xt = x.T
+        r = np.sqrt(xt[0] * xt[0] + xt[1] * xt[1] + xt[2] * xt[2])
+        return np.array([(0.3 + 0.2 * np.cos(xt[0])) * r - 0.5 * np.sin(xt[1])]).T
 
     return UncertainPlant("hsu_siso", 3, 1, A0, B, h, sigma)
 
@@ -138,8 +145,9 @@ def f16_rollyaw(f2_typo_fix: bool = False) -> UncertainPlant:
     c = _F16
 
     def h(t, u, x):
-        beta, ps, rs = x[0], x[2], x[3]
-        da, dr = u[0], u[1]
+        xt, ut = x.T, u.T
+        beta, ps, rs = xt[0], xt[2], xt[3]
+        da, dr = ut[0], ut[1]
         gauss1 = (1 - c["C1"]) * np.exp(-((beta - c["beta0"]) ** 2) / (2 * c["width1"] ** 2)) + c["C1"]
         gauss2 = (1 - c["C2"]) * np.exp(-((beta - c["beta0"]) ** 2) / (2 * c["width2"] ** 2)) + c["C2"]
         f1 = (
@@ -153,10 +161,10 @@ def f16_rollyaw(f2_typo_fix: bool = False) -> UncertainPlant:
             + c["D3"] * np.cos(c["A3"] * ps - c["w3"]) * np.sin(c["A4"] * rs - c["w4"])
             + c["D4"]
         )
-        return np.array([da + f1, dr + f2])
+        return np.array([da + f1, dr + f2]).T
 
     def sigma(t, x):
-        return np.zeros(2)
+        return np.zeros(x.shape[:-1] + (2,))
 
     return UncertainPlant(
         "f16_rollyaw", 4, 2, A0, B, h, sigma, meta={"f2_typo_fix": f2_typo_fix}
@@ -210,10 +218,10 @@ def quadrotor_attitude(cfg: QuadrotorConfig | None = None) -> UncertainPlant:
     Gm1_K = (G - np.eye(3)) @ Kbar.T
 
     def h(t, u, x):
-        return G @ u
+        return (G @ u.T).T
 
     def sigma(t, x):
-        return Gm1_K @ x
+        return (Gm1_K @ x.T).T
 
     return UncertainPlant(
         "quadrotor_attitude", 9, 3, A0, B, h, sigma,
@@ -249,7 +257,7 @@ def synthetic_lti(
         return g * u
 
     def sigma(t, x):
-        return S @ x + d_amp * np.sin(d_freq * t)
+        return (S @ x.T + d_amp * np.sin(d_freq * t)).T
 
     return UncertainPlant(
         "synthetic_lti", 2, 1, A0, B, h, sigma, constants=consts,

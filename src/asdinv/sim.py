@@ -41,7 +41,7 @@ class SimConfig:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         if not (0 < self.dt <= self.t_final):
             raise ValueError("need 0 < dt <= t_final")
-        if self.record_stride < 1:
+        if not isinstance(self.record_stride, (int, np.integer)) or self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
 
 

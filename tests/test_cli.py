@@ -112,6 +112,20 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "epsilon=Infinity",
+        "sim.t_final=Infinity",
+        "sim.x0=[NaN,0,0]",
+        "design.poles=[-1,-2,NaN]",
+        "saturation.max=Infinity",
+        "sim.record_stride=2.7",
+    ])
+    def test_non_finite_or_fractional_number_is_config_error(self, tmp_path, capsys, override):
+        # json.loads reads NaN and +-Infinity unless told otherwise
+        code = run(["simulate", "--scenario", "siso", "--set", override, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
 
 class TestOutputs:
     def test_design_outputs(self, tmp_path):
@@ -189,3 +203,17 @@ class TestOutputs:
         assert code == EXIT_OK
         assert (tmp_path / "siso" / "design.json").exists()
         assert (tmp_path / "synthetic" / "design.json").exists()
+
+    def test_outputs_are_strict_json(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        for command in ("design", "simulate", "verify", "bound"):
+            for name in BUNDLED:
+                code = run([command, "--scenario", name, "--set", "sim.t_final=0.2",
+                            "--out", str(tmp_path)])
+                assert code in ((EXIT_OK, EXIT_CONSTANTS) if command == "bound" else (EXIT_OK,))
+        written = sorted(tmp_path.glob("*/*.json"))
+        assert len(written) >= 3 * len(BUNDLED)
+        for path in written:
+            json.loads(path.read_text(), parse_constant=reject)

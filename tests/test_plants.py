@@ -3,6 +3,8 @@ independently coded formulas, structural checks, and the wrappers."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asdinv import (
     AssumptionConstants,
@@ -236,3 +238,42 @@ class TestPlantInterface:
         u, x = np.array([0.7]), np.array([0.1, 0.2, 0.3])
         assert p1.h(1.0, u, x) == p2.h(1.0, u, x)
         assert p1.sigma(1.0, x) == p2.sigma(1.0, x)
+
+
+_SYNTH = dict(g=1.5, S=np.array([[0.3, -0.7]]), d_amp=0.4, d_freq=2.0)
+
+
+class TestRowContract:
+    """h and sigma on N rows return (N, m), and row i is the one-sample call."""
+
+    # each plant with the maps whose batched form is a matrix product
+    @pytest.mark.parametrize("plant, matmul_maps", [
+        pytest.param(hsu_siso(), (), id="siso"),
+        pytest.param(f16_rollyaw(f2_typo_fix=False), (), id="f16_printed"),
+        pytest.param(f16_rollyaw(f2_typo_fix=True), (), id="f16_fixed"),
+        pytest.param(quadrotor_attitude(QuadrotorConfig(J_true=1.3 * np.diag([0.03, 0.03, 0.04]))),
+                     ("sigma",), id="quadrotor_payload"),
+        pytest.param(synthetic_lti(**_SYNTH), ("sigma",), id="synthetic"),
+        pytest.param(dead_zone(0.5)(synthetic_lti(**_SYNTH)), ("sigma",), id="deadzone"),
+        pytest.param(delayed_input_lti(0.05, **_SYNTH), ("sigma",), id="delay"),
+    ])
+    @settings(max_examples=25, deadline=None)
+    @given(n_rows=st.integers(min_value=1, max_value=20),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_rows_match_one_sample_calls(self, plant, matmul_maps, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.0, 20.0, n_rows)
+        u = rng.uniform(-6.0, 6.0, (n_rows, plant.m))
+        x = rng.uniform(-3.0, 3.0, (n_rows, plant.n))
+        for label, batched, single in (
+            ("h", plant.h(t, u, x), [plant.h(t[i], u[i], x[i]) for i in range(n_rows)]),
+            ("sigma", plant.sigma(t, x), [plant.sigma(t[i], x[i]) for i in range(n_rows)]),
+        ):
+            single = np.array(single)
+            assert batched.shape == single.shape == (n_rows, plant.m)
+            if label in matmul_maps:
+                # a batched product may round differently: bound it by the largest entry
+                scale = np.max(np.abs(single))
+                assert np.max(np.abs(batched - single)) <= 1e-15 * scale
+            else:
+                np.testing.assert_array_equal(batched, single)
