@@ -89,6 +89,8 @@ def load_scenario(ref: str, overrides=()) -> Scenario:
     for fieldname in ("plant", "design", "epsilon", "saturation", "sim"):
         if fieldname not in raw:
             raise ConfigError(f"scenario {ref!r} is missing the {fieldname!r} field")
+        if fieldname != "epsilon" and not isinstance(raw[fieldname], dict):
+            raise ConfigError(f"field {fieldname!r} must be a JSON object")
     eps = raw["epsilon"]
     if isinstance(eps, bool) or not (isinstance(eps, (int, float)) and eps > 0):
         raise ConfigError("field 'epsilon' must be a positive number")

@@ -116,10 +116,10 @@ class PiController(_ControllerBase):
         super().__init__(spec)
 
     def unsat_output(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.D @ x - s
+        return self.D.dot(x) - s
 
     def derivative(self, s: np.ndarray, x: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
-        return self.Ki @ x
+        return self.Ki.dot(x)
 
     _output, _deriv = unsat_output, derivative
     step_pi = _ControllerBase.step
@@ -149,23 +149,20 @@ class ObserverController(_ControllerBase):
         super().__init__(spec)
 
     def unsat_output(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._output(s, self._Ct @ x)
+        return self._output(s, self._Ct.dot(x))
 
     def _output(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
         m = self.m
-        filt = (y - s[:m]) / self.eps + self._lam_minus_inv_eps * s[m:]
-        return self._neg_CtB_inv @ filt
+        return self._neg_CtB_inv.dot((y - s[:m]) / self.eps + self._lam_minus_inv_eps * s[m:])
 
     def derivative(self, s: np.ndarray, x: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
-        return self._deriv(s, self._Ct @ x, u_applied)
+        return self._deriv(s, self._Ct.dot(x), u_applied)
 
     def _deriv(self, s: np.ndarray, y: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
         m = self.m
         yp, w = s[:m], s[m:]
-        d_hat = y - yp
-        dyp = self._neg_lam * yp + self.CtB @ u_applied
-        dw = (d_hat - w) / self.eps
-        return np.concatenate((dyp, dw))
+        dyp = self._neg_lam * yp + self.CtB.dot(u_applied)
+        return np.concatenate((dyp, (y - yp - w) / self.eps))  # (d_hat - w) / eps
 
     step_observer = _ControllerBase.step
 

@@ -259,10 +259,10 @@ def rk4_step(f, t: float, s: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarra
     """One classical RK4 step of s' = f(t, s) from (t, s), given k1 = f(t, s).
 
     The caller evaluates k1 itself, so it can also keep what that
-    evaluation yields at the step point.
+    evaluation yields at the step point. k + k is 2 * k exactly, but cheaper.
     """
     half = dt / 2
     k2 = f(t + half, s + half * k1)
     k3 = f(t + half, s + half * k2)
     k4 = f(t + dt, s + dt * k3)
-    return s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return s + dt / 6 * (k1 + (k2 + k2) + (k3 + k3) + k4)

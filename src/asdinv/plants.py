@@ -218,10 +218,10 @@ def quadrotor_attitude(cfg: QuadrotorConfig | None = None) -> UncertainPlant:
     Gm1_K = (G - np.eye(3)) @ Kbar.T
 
     def h(t, u, x):
-        return (G @ u.T).T
+        return G.dot(u.T).T
 
     def sigma(t, x):
-        return (Gm1_K @ x.T).T
+        return Gm1_K.dot(x.T).T
 
     return UncertainPlant(
         "quadrotor_attitude", 9, 3, A0, B, h, sigma,
@@ -257,7 +257,7 @@ def synthetic_lti(
         return g * u
 
     def sigma(t, x):
-        return (S @ x.T + d_amp * np.sin(d_freq * t)).T
+        return (S.dot(x.T) + d_amp * np.sin(d_freq * t)).T
 
     return UncertainPlant(
         "synthetic_lti", 2, 1, A0, B, h, sigma, constants=consts,

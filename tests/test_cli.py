@@ -126,6 +126,18 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["plant=3", 'sim="x"', "saturation=5", "design=[1]"])
+    def test_section_not_an_object_is_config_error(self, tmp_path, capsys, override):
+        code = run(["simulate", "--scenario", "siso", "--set", override, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    def test_runaway_record_size_is_config_error(self, tmp_path, capsys):
+        code = run(["simulate", "--scenario", "siso", "--set", "sim.dt=1e-300",
+                    "--set", "sim.t_final=0.1", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
 
 class TestOutputs:
     def test_design_outputs(self, tmp_path):

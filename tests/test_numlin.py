@@ -22,6 +22,26 @@ from asdinv import (
 from asdinv.numlin import _diagonal_blocks, rk4_step
 
 
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(1, 9), c=st.integers(1, 9), transposed=st.booleans(),
+       cols=st.one_of(st.none(), st.integers(1, 9)), seed=st.integers(0, 10_000))
+def test_dot_matches_matmul(r, c, transposed, cols, seed):
+    """M.dot(v) and M @ v give the same bits on the simulator's shapes.
+
+    sim, controller_rt and plants use ndarray.dot in the RK4 stages for
+    speed; tests/test_sim.py's bit-identical oracle uses @. A numpy or
+    BLAS build that routes the two differently fails here first.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-4, 4, shape)
+
+    M = draw(c, r).T if transposed else draw(r, c)  # a transposed view, or C-ordered
+    v = draw(c) if cols is None else draw(cols, c).T  # (c,), or (c, N) as plants see x.T
+    assert np.array_equal(M.dot(v), M @ v)
+
+
 def random_stable(rng, n):
     """Diagonalizable Hurwitz matrix with a known real spectrum."""
     w = -rng.uniform(0.5, 5.0, size=n)

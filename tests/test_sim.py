@@ -135,6 +135,34 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=1e-3, t_final=1.0, x0=np.zeros(2), record_stride=0)
 
+    def test_record_size_limit(self):
+        # round(t_final/dt) // record_stride + 1 rows, at most 10**7
+        SimConfig(dt=1e-3, t_final=1e4 - 1e-3, x0=np.zeros(2))
+        SimConfig(dt=1e-3, t_final=2e4, x0=np.zeros(2), record_stride=3)
+        for t_final, dt, stride in ((1e4, 1e-3, 1), (2e4, 1e-3, 2), (0.1, 1e-300, 1), (1e300, 1e-300, 1)):
+            with pytest.raises(ValueError, match="recorded samples"):
+                SimConfig(dt=dt, t_final=t_final, x0=np.zeros(2), record_stride=stride)
+
+
+class TestBlowupCheck:
+    """sim._bounded against the exact test max|s| <= 1e12."""
+
+    @pytest.mark.parametrize("s", [
+        np.zeros(5),
+        np.array([0.0, 1e12, -3.0]),
+        np.array([-1e12, 1.0]),
+        np.array([1.0, np.nextafter(1e12, np.inf)]),
+        np.full(21, 0.999e12),  # s.s far above 1e24, yet not blown up
+        np.array([1.0, np.nan]),
+        np.array([np.inf, 0.0]),
+        np.array([0.0, -np.inf]),
+        np.array([1.0, 1e200]),  # s.s overflows
+    ])
+    def test_matches_exact_test(self, s):
+        with np.errstate(over="ignore"):
+            got = sim._bounded(s)
+        assert got == (np.abs(s).max() <= 1e12)
+
 
 class TestSimulate:
     def test_zero_initial_state_stays_zero(self, synthetic_core):
