@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Microseconds per RK4 step of sim.simulate on the 7 bundled scenarios.
+"""Microseconds per RK4 step of sim.simulate on the 7 bundled scenarios,
+and the traced memory peak of one run.
 
     python3 scripts/step_cost.py [OTHER_SRC]
 
 Each scenario runs at sim.t_final=0.5, BLAS on one thread, minimum over
 interleaved repeats. Given a second checkout's src/, both copies of asdinv
 alternate in this process: columns parent (OTHER_SRC), change, parent/change.
+After the timed repeats, each side's "peak KiB" column is the tracemalloc
+peak of one simulate plus export_csv at the scenario's shipped horizon.
 """
 
 import os
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -20,21 +25,34 @@ REPEATS = 25
 
 
 def load_runs(src) -> dict:
-    """Build the runs of the asdinv in src, then unimport it for the next copy."""
+    """Build the runs of the asdinv in src (at t_final 0.5 and as shipped), then unimport it."""
     sys.path.insert(0, str(src))
     try:
         from asdinv import cli, sim
+
+        def sim_args(sc):
+            plant = cli.build_plant(sc)
+            return plant, cli.build_controller_spec(sc, cli.build_core(sc, plant)), cli.build_sim_config(sc)
+
         runs = {}
         for name in cli.BUNDLED:
-            sc = cli.load_scenario(name, ("sim.t_final=0.5",))
-            plant, cfg = cli.build_plant(sc), cli.build_sim_config(sc)
-            spec = cli.build_controller_spec(sc, cli.build_core(sc, plant))
-            runs[name] = (sim.simulate, (plant, spec, cfg), round(cfg.t_final / cfg.dt))
+            args = sim_args(cli.load_scenario(name, ("sim.t_final=0.5",)))
+            runs[name] = (sim, args, round(args[2].t_final / args[2].dt), sim_args(cli.load_scenario(name)))
     finally:
         sys.path.pop(0)
         for mod in [k for k in sys.modules if k == "asdinv" or k.startswith("asdinv.")]:
             del sys.modules[mod]
     return runs
+
+
+def peak_kib(sim, args, path) -> float:
+    """tracemalloc peak of one simulate plus export_csv of its trace, in KiB."""
+    tracemalloc.start()
+    try:
+        sim.export_csv(sim.simulate(*args), path)
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> None:
@@ -45,15 +63,22 @@ def main() -> None:
     for r in range(REPEATS):
         for name in sides["change"]:
             for side in (list(sides) if r % 2 else list(reversed(sides))):
-                simulate, args, steps = sides[side][name]
+                sim, args, steps, _ = sides[side][name]
                 start = perf_counter()
-                simulate(*args)
+                sim.simulate(*args)
                 best[side, name] = min(best[side, name], (perf_counter() - start) / steps * 1e6)
-    print(f"{'scenario':<18}" + "".join(f"{side:>9}" for side in sides) + "    ratio" * (len(sides) > 1))
+    peak = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, name in best:
+            sim, _, _, shipped = sides[side][name]
+            peak[side, name] = peak_kib(sim, shipped, Path(tmp) / "trace.csv")
+    print(f"{'scenario':<18}" + "".join(f"{side:>9}" for side in sides) + "    ratio" * (len(sides) > 1)
+          + "".join(f"{side + ' peak KiB':>18}" for side in sides))
     for name in sides["change"]:
         row = [best[side, name] for side in sides]
         ratio = f"    x{row[0] / row[1]:.2f}" if len(row) > 1 else ""
-        print(f"{name:<18}" + "".join(f"{v:9.1f}" for v in row) + ratio)
+        print(f"{name:<18}" + "".join(f"{v:9.1f}" for v in row) + ratio
+              + "".join(f"{peak[side, name]:18.0f}" for side in sides))
 
 
 if __name__ == "__main__":

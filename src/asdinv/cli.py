@@ -81,6 +81,8 @@ def _apply_override(raw: dict, key: str, value: str) -> None:
 
 def load_scenario(ref: str, overrides=()) -> Scenario:
     raw = _load_raw(ref)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"scenario {ref!r} must be a JSON object")
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"--set needs key=value, got {ov!r}")

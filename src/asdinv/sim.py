@@ -100,6 +100,9 @@ def simulate(
     t = tau, and after that the linear interpolation of the step-point
     samples u(k dt). The sample u(t_k) enters that history before any
     stage of the step from t_k reads it, which matters when tau < dt.
+    Only the last L = ceil(tau/dt) + 2 samples are kept, u(k dt) in slot
+    k % L, since no stage of the step from t_k reads a sample before
+    k - ceil(tau/dt) - 1 (the 1 covers round-off in (t - tau)/dt).
 
     Raises NonFiniteState (carrying the truncated trace and blow-up time)
     if the augmented state leaves the finite range.
@@ -132,7 +135,9 @@ def simulate(
     u_min, u_max = controller.u_min, controller.u_max
     h, sig = plant.h, plant.sigma
     tau = plant.input_delay
-    u_hist: list[np.ndarray] = []  # u(k dt), k = 0, 1, ...; kept only when tau > 0
+    L = int(min(np.ceil(tau / dt) + 2, nsteps))  # no more slots than samples
+    u_ring = [None] * L  # the last L samples u(k dt), filled only when tau > 0
+    n_hist = 0  # samples appended so far; u(k dt) sits in slot k % L
 
     # augmented layout: [x (n), controller (q), y_p (m), (y_s (m))];
     # the controller and y_p start at zero
@@ -147,22 +152,23 @@ def simulate(
         if tq <= 0.0:
             return np.zeros(m)
         i = tq / dt
-        i0 = min(int(i), len(u_hist) - 1)
-        i1 = min(i0 + 1, len(u_hist) - 1)
+        i0 = min(int(i), n_hist - 1)
+        i1 = min(i0 + 1, n_hist - 1)
         frac = i - i0
-        return u_hist[i0] * (1 - frac) + u_hist[i1] * frac
+        return u_ring[i0 % L] * (1 - frac) + u_ring[i1 % L] * frac
 
     k1_u = None  # (u, u_unsat) of the latest step-point stage
     def deriv(t: float, s: np.ndarray, step_point: bool = False) -> np.ndarray:
         """Closed-loop derivative at (t, s); a step point keeps its u, u_unsat in k1_u."""
-        nonlocal k1_u
+        nonlocal k1_u, n_hist
         x, sc = s[:n], s[n:nq]
         u_unsat = unsat_output(sc, x)
         u = np.minimum(np.maximum(u_unsat, u_min), u_max)
         if step_point:
             k1_u = u, u_unsat
             if tau:
-                u_hist.append(u)
+                u_ring[n_hist % L] = u
+                n_hist += 1
         hv = h(t, delayed_u(t) if tau else u, x)
         sv = sig(t, x)
         dx = A0.dot(x) + B.dot(hv + sv)
@@ -303,6 +309,7 @@ def export_csv(trace: Trace, path) -> None:
     data = np.column_stack((trace.t, trace.x, trace.u, trace.y, trace.d_hat))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row, sat in zip(data.tolist(), trace.sat.tolist()):
-            fh.write(",".join(map(repr, row)))
+        # row by row: data.tolist() would hold ~5x the table's bytes at once
+        for row, sat in zip(data, trace.sat.tolist()):
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write(f",{int(sat)}\n")

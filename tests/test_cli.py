@@ -132,6 +132,13 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top", ["3", "[1]", '"x"', "null"])
+    def test_scenario_not_an_object_is_config_error(self, tmp_path, capsys, top):
+        path = tmp_path / "bad.json"
+        path.write_text(top)
+        assert run(["design", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_runaway_record_size_is_config_error(self, tmp_path, capsys):
         code = run(["simulate", "--scenario", "siso", "--set", "sim.dt=1e-300",
                     "--set", "sim.t_final=0.1", "--out", str(tmp_path)])

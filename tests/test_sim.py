@@ -1,6 +1,7 @@
 """Closed-loop integrator, metrics, and CSV export."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,12 @@ def delay_case(tau):
 ORACLE_CASES = {name: (lambda name=name: bundled_case(name)) for name in cli.BUNDLED}
 ORACLE_CASES["delay_tau_half_dt"] = lambda: delay_case(5e-4)
 ORACLE_CASES["delay_tau_0.05"] = lambda: delay_case(0.05)
+# the delay ring's edge: tau an exact multiple of dt (20 * 1e-3 == 0.02), one ulp
+# either side of it, and a non-integer multiple above 10 steps
+ORACLE_CASES["delay_tau_20dt"] = lambda: delay_case(0.02)
+ORACLE_CASES["delay_tau_20dt_minus_ulp"] = lambda: delay_case(np.nextafter(0.02, 0.0))
+ORACLE_CASES["delay_tau_20dt_plus_ulp"] = lambda: delay_case(np.nextafter(0.02, 1.0))
+ORACLE_CASES["delay_tau_12.3dt"] = lambda: delay_case(0.0123)
 
 
 class TestConfig:
@@ -451,6 +458,33 @@ class TestCsv:
             row = [tr.t[k]] + list(tr.x[k]) + list(tr.u[k]) + list(tr.y[k]) + list(tr.d_hat[k])
             lines.append(",".join(repr(float(v)) for v in row) + f",{int(tr.sat[k])}\n")
         assert path.read_bytes() == "".join(lines).encode()
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_delay_history_does_not_grow_with_horizon(self):
+        plant, spec, cfg = delay_case(0.05)
+        runs = [dataclasses.replace(cfg, t_final=t_final, record_stride=1000) for t_final in (2.0, 20.0)]
+        simulate(plant, spec, cfg)  # first-call allocations stay out of the peaks
+        short, long = (traced_peak(simulate, plant, spec, run) for run in runs)
+        assert abs(long - short) < 64 * 1024
+
+    def test_export_csv_streams_rows(self, tmp_path):
+        rows, n, m = 20_000, 9, 3  # 1 + n + 3m = 19 columns, as the quadrotor's trace
+        rng = np.random.default_rng(0)
+        tr = Trace(t=np.arange(rows) * 1e-3, x=rng.standard_normal((rows, n)),
+                   u=rng.standard_normal((rows, m)), y=rng.standard_normal((rows, m)),
+                   d_hat=rng.standard_normal((rows, m)), sat=rng.random(rows) < 0.5)
+        assert traced_peak(export_csv, tr, tmp_path / "trace.csv") <= 1.5 * rows * 19 * 8
 
 
 class TestEntryTime:
