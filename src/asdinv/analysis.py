@@ -64,7 +64,7 @@ def eta(
 ) -> float:
     """Exponential decay rate of the Lyapunov function; positive iff
     epsilon is inside the admissible range."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     first = g0 / (2.0 * float(np.max(np.linalg.eigvalsh(P))))
     second = consts.l_hu_low / epsilon - g1 - (2.0 / g0) * (g2 + consts.l_sigma_t) ** 2

@@ -96,7 +96,10 @@ def load_scenario(ref: str, overrides=()) -> Scenario:
     eps = raw["epsilon"]
     if isinstance(eps, bool) or not (isinstance(eps, (int, float)) and eps > 0):
         raise ConfigError("field 'epsilon' must be a positive number")
-    return Scenario(name=raw.get("name", ref), raw=raw)
+    name = raw.get("name", Path(ref).stem)  # names the output directory <out>/<name>
+    if not isinstance(name, str) or name in ("", ".", "..") or "\0" in name or Path(name).name != name:
+        raise ConfigError(f"field 'name' must be one path component, not {name!r}")
+    return Scenario(name=name, raw=raw)
 
 
 def _synthetic_kwargs(cfg: dict) -> dict:

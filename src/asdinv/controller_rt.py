@@ -45,7 +45,7 @@ def _require_invertible_ctb(core: LinearCore) -> None:
 
 def pi_gains(core: LinearCore, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Proportional and integral gains of the closed realization."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     _require_invertible_ctb(core)
     CtB_inv = np.linalg.inv(core.CtB)
@@ -63,7 +63,7 @@ class ControllerSpec:
     realization_kind: str = "pi_closed"  # or "observer"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         u_min = np.broadcast_to(np.asarray(self.u_min, dtype=float), (self.core.m,)).copy()
         u_max = np.broadcast_to(np.asarray(self.u_max, dtype=float), (self.core.m,)).copy()

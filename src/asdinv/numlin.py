@@ -258,8 +258,8 @@ def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
 def rk4_step(f, t: float, s: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
     """One classical RK4 step of s' = f(t, s) from (t, s), given k1 = f(t, s).
 
-    The caller evaluates k1 itself, so it can also keep what that
-    evaluation yields at the step point. k + k is 2 * k exactly, but cheaper.
+    The caller evaluates k1 itself, so it can reuse the control it has
+    already computed at the step point. k + k is 2 * k exactly, but cheaper.
     """
     half = dt / 2
     k2 = f(t + half, s + half * k1)

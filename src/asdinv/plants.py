@@ -56,9 +56,9 @@ class AssumptionConstants:
     d_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.l_hu_low <= 0:
+        if not self.l_hu_low > 0:
             raise ValueError("l_hu_low must be positive")
-        if self.l_hu_low > self.l_hu_high:
+        if not self.l_hu_low <= self.l_hu_high:
             raise ValueError("l_hu_low must not exceed l_hu_high")
         for name in ("l_ht", "k_sigma", "delta_sigma", "l_sigma_x", "l_sigma_t", "d_sigma"):
             v = getattr(self, name)
@@ -189,7 +189,7 @@ class QuadrotorConfig:
         Jt = self.J_true
         Jt = J0.copy() if Jt is None else np.asarray(Jt, dtype=float)
         object.__setattr__(self, "J_true", Jt)
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError("actuator bandwidth must be positive")
         for name, J in (("J0", J0), ("J_true", Jt)):
             if J.shape != (3, 3) or not np.allclose(J, J.T):
@@ -241,7 +241,7 @@ def synthetic_lti(
     x' = [[0, 1], [0, 0]] x + [0, 1]^T (h + sigma), with h(t, u) = g u and
     sigma(t, x) = S x + d_amp sin(d_freq t); S is 1 x 2 (zero by default).
     """
-    if g <= 0:
+    if not g > 0:
         raise ValueError("input gain g must be positive")
     A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0], [1.0]])
@@ -271,7 +271,7 @@ def dead_zone(mu: float):
     Inputs with |u_i| < mu are zeroed before reaching the original h;
     equivalently h(t, u) = h0(t, u + delta(t)) with ||delta|| <= mu sqrt(m).
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("dead-zone width must be positive")
 
     def wrap(plant: UncertainPlant) -> UncertainPlant:
@@ -297,7 +297,7 @@ def delayed_input_lti(tau: float, **synthetic_kwargs) -> UncertainPlant:
     points. Used to demonstrate that an aggressive filter constant
     destabilizes a delayed loop while a conservative one stays bounded.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("delay must be positive")
     base = synthetic_lti(**synthetic_kwargs)
     return replace(base, name="delayed_lti", input_delay=tau, constants=None)

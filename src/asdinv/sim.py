@@ -4,9 +4,10 @@ Classical RK4 on the augmented state (plant + controller + the primary
 output y_p, and optionally the secondary output y_s). Saturation is
 applied inside the derivative evaluation, so the plant always sees the
 clamped input. The stages come from numlin.rk4_step, and each of the
-four evaluates the controller output once; the first stage, at the step
-point, doubles as the recorded sample u(t_k) and its saturation flag.
-Deterministic: identical configs give identical traces. Per-stage
+four evaluates the controller output once: one pass of simulate's loop
+computes the control at the step point, which is the recorded sample
+u(t_k) and its saturation flag, the delay history's entry and the first
+stage. Deterministic: identical configs give identical traces. Per-stage
 products, here and in controller_rt and plants, are M.dot(v): M @ v's
 bits (test_numlin pins this), ~0.6 us sooner a call. The blow-up test
 max|s| <= 1e12 runs only where the pre-check s.s <= 0.99e24 fails.
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .asd_design import LinearCore
-from .controller_rt import ControllerSpec, make_controller
+from .controller_rt import ControllerSpec, closed_realization, make_controller
 from .errors import EmptyTrace, NonFiniteState, UnknownUncertainty
 from .numlin import rk4_step
 from .plants import UncertainPlant
@@ -92,9 +93,10 @@ def simulate(
 ) -> Trace:
     """Integrate the closed loop and return the recorded Trace.
 
-    The sample recorded at a step point t_k = k dt is the k1 stage of the
-    step that leaves t_k; only the last sample needs an output evaluation
-    of its own.
+    Pass k of the loop computes the clamped control u(t_k) at t_k = k dt
+    once: it fills recorded row k / stride (when the stride divides k), the
+    delay history and the first RK4 stage, which is why unsat_output runs
+    at most 4 steps + 1 times. The pass at k = steps only records.
 
     With an input delay tau > 0, h receives u(t - tau): zero before
     t = tau, and after that the linear interpolation of the step-point
@@ -121,14 +123,12 @@ def simulate(
     dt = simcfg.dt
     nsteps = int(round(simcfg.t_final / dt))
 
-    lam_fast = float(np.max(np.abs(np.linalg.eigvals(core.A))))
-    if dt * lam_fast >= 2.5:
-        warnings.warn(
-            f"dt*max|eig(A)| = {dt * lam_fast:.2f} >= 2.5; RK4 may be unstable",
-            stacklevel=2,
-        )
-
     A0, B = plant.A0, plant.B
+    cl = closed_realization(controller)  # the nominal loop at the origin: h = u, sigma = 0
+    rho = np.abs(np.linalg.eigvals(np.block([[A0 + B @ cl.D, B @ cl.H], [cl.G_in, cl.F]]))).max()
+    if dt * rho >= 2.5:
+        warnings.warn(f"dt*rho(nominal loop) = {dt * rho:.2f} >= 2.5; RK4 may be unstable", stacklevel=2)
+
     CtB = core.CtB
     Kt = core.K.T
     neg_lam = -core.lam_diag
@@ -136,8 +136,7 @@ def simulate(
     h, sig = plant.h, plant.sigma
     tau = plant.input_delay
     L = int(min(np.ceil(tau / dt) + 2, nsteps))  # no more slots than samples
-    u_ring = [None] * L  # the last L samples u(k dt), filled only when tau > 0
-    n_hist = 0  # samples appended so far; u(k dt) sits in slot k % L
+    u_ring = [None] * L  # u(k dt) in slot k % L, filled only when tau > 0
 
     # augmented layout: [x (n), controller (q), y_p (m), (y_s (m))];
     # the controller and y_p start at zero
@@ -148,27 +147,21 @@ def simulate(
         s[nqm:] = core.C.T @ simcfg.x0  # y_s(0) = C^T x0; y_p(0) = 0
 
     def delayed_u(t: float) -> np.ndarray:
+        """u(t - tau) in the step from t_k, which holds samples 0..k (k: the loop index)."""
         tq = t - tau
         if tq <= 0.0:
             return np.zeros(m)
         i = tq / dt
-        i0 = min(int(i), n_hist - 1)
-        i1 = min(i0 + 1, n_hist - 1)
+        i0 = min(int(i), k)
+        i1 = min(i0 + 1, k)
         frac = i - i0
         return u_ring[i0 % L] * (1 - frac) + u_ring[i1 % L] * frac
 
-    k1_u = None  # (u, u_unsat) of the latest step-point stage
-    def deriv(t: float, s: np.ndarray, step_point: bool = False) -> np.ndarray:
-        """Closed-loop derivative at (t, s); a step point keeps its u, u_unsat in k1_u."""
-        nonlocal k1_u, n_hist
+    def deriv(t: float, s: np.ndarray, u: Optional[np.ndarray] = None) -> np.ndarray:
+        """Closed-loop derivative at (t, s); u is the clamped control there, computed if not given."""
         x, sc = s[:n], s[n:nq]
-        u_unsat = unsat_output(sc, x)
-        u = np.minimum(np.maximum(u_unsat, u_min), u_max)
-        if step_point:
-            k1_u = u, u_unsat
-            if tau:
-                u_ring[n_hist % L] = u
-                n_hist += 1
+        if u is None:
+            u = np.minimum(np.maximum(unsat_output(sc, x), u_min), u_max)
         hv = h(t, delayed_u(t) if tau else u, x)
         sv = sig(t, x)
         dx = A0.dot(x) + B.dot(hv + sv)
@@ -185,27 +178,25 @@ def simulate(
     rec_u = np.empty((nrec, m))
     rec_sat = np.empty(nrec, dtype=bool)
 
-    def record(j: int, s: np.ndarray, u: np.ndarray, u_unsat: np.ndarray) -> None:
-        rec_s[j] = s
-        rec_u[j] = u
-        rec_sat[j] = np.any(u != u_unsat)
-
     t = 0.0
     blowup_time = None
-    for k in range(nsteps):
-        k1 = deriv(t, s, True)
+    for k in range(nsteps + 1):
+        u_unsat = unsat_output(s[n:nq], s[:n])
+        u = np.minimum(np.maximum(u_unsat, u_min), u_max)
         if k % stride == 0:
-            record(k // stride, s, *k1_u)
-        s = rk4_step(deriv, t, s, dt, k1)
+            rec_s[k // stride] = s
+            rec_u[k // stride] = u
+            rec_sat[k // stride] = np.any(u != u_unsat)
+        if k == nsteps:
+            break
+        if tau:
+            u_ring[k % L] = u
+        s = rk4_step(deriv, t, s, dt, deriv(t, s, u))
         t = (k + 1) * dt
         if not _bounded(s):
             blowup_time = t
             nrec = k // stride + 1
             break
-    else:
-        if nsteps % stride == 0:
-            u_unsat = unsat_output(s[n:nq], s[:n])
-            record(nrec - 1, s, np.minimum(np.maximum(u_unsat, u_min), u_max), u_unsat)
 
     S = rec_s[:nrec]
     X = S[:, :n]

@@ -39,6 +39,13 @@ class TestScenarioLoading:
         sc = load_scenario(str(p))
         assert sc.raw["plant"]["kind"] == "synthetic"
 
+    def test_nameless_path_scenario_is_named_after_its_file(self, tmp_path):
+        raw = load_scenario("synthetic").raw
+        del raw["name"]
+        p = tmp_path / "custom.json"
+        p.write_text(json.dumps(raw))
+        assert load_scenario(str(p)).name == "custom"
+
     def test_dotted_override(self):
         sc = load_scenario("siso", overrides=["sim.dt=0.002", "epsilon=0.25"])
         assert sc.raw["sim"]["dt"] == 0.002
@@ -138,6 +145,14 @@ class TestExitCodes:
         path.write_text(top)
         assert run(["design", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["3", "null", "[1]", '"../escaped"', '""', '"."', '".."', '"a/b"'])
+    def test_name_not_one_path_component_is_config_error(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        code = run(["design", "--scenario", "siso", "--set", f"name={name}", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []  # nothing written, in --out or beside it
 
     def test_runaway_record_size_is_config_error(self, tmp_path, capsys):
         code = run(["simulate", "--scenario", "siso", "--set", "sim.dt=1e-300",

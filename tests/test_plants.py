@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from asdinv import (
     AssumptionConstants,
+    ControllerSpec,
     QuadrotorConfig,
     SingularInertia,
     Uncontrollable,
@@ -15,8 +16,11 @@ from asdinv import (
     controllability_rank,
     dead_zone,
     delayed_input_lti,
+    eta,
     f16_rollyaw,
+    gammas,
     hsu_siso,
+    pi_gains,
     quadrotor_attitude,
     sample_constants,
     synthetic_lti,
@@ -216,6 +220,34 @@ class TestWrappers:
         assert p.constants is None
         with pytest.raises(ValueError):
             delayed_input_lti(-1.0)
+
+
+NAN = float("nan")
+
+
+def _eta_at(core, epsilon):
+    c = synthetic_lti().constants
+    return eta(epsilon, *gammas(core, c), c, core.P)
+
+
+class TestNanParameters:
+    """NaN fails every positive-parameter check (a `<= 0` test would let it through)."""
+
+    @pytest.mark.parametrize("make", [
+        lambda core: delayed_input_lti(NAN),
+        lambda core: synthetic_lti(g=NAN),
+        lambda core: dead_zone(NAN),
+        lambda core: QuadrotorConfig(omega=NAN),
+        lambda core: AssumptionConstants(l_hu_low=NAN),
+        lambda core: AssumptionConstants(l_hu_high=NAN),
+        lambda core: ControllerSpec(core, NAN, -1.0, 1.0),
+        lambda core: pi_gains(core, NAN),
+        lambda core: _eta_at(core, NAN),
+    ], ids=["delay_tau", "synthetic_g", "dead_zone_mu", "quadrotor_omega", "l_hu_low",
+            "l_hu_high", "controller_epsilon", "pi_gains_epsilon", "eta_epsilon"])
+    def test_nan_raises(self, synthetic_core, make):
+        with pytest.raises(ValueError, match="positive|not exceed"):
+            make(synthetic_core)
 
 
 class TestPlantInterface:

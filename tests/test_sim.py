@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,17 @@ ORACLE_CASES["delay_tau_20dt"] = lambda: delay_case(0.02)
 ORACLE_CASES["delay_tau_20dt_minus_ulp"] = lambda: delay_case(np.nextafter(0.02, 0.0))
 ORACLE_CASES["delay_tau_20dt_plus_ulp"] = lambda: delay_case(np.nextafter(0.02, 1.0))
 ORACLE_CASES["delay_tau_12.3dt"] = lambda: delay_case(0.0123)
+
+
+def stride_case(extra):
+    """siso (saturated at t = 0) recording every nsteps + extra steps."""
+    plant, spec, cfg = bundled_case("siso")
+    return plant, spec, dataclasses.replace(cfg, record_stride=round(cfg.t_final / cfg.dt) + extra)
+
+
+# the loop's first and last passes: rows at t = 0 and t_final, then the t = 0 row only
+ORACLE_CASES["siso_stride_nsteps"] = lambda: stride_case(0)
+ORACLE_CASES["siso_stride_nsteps_plus_1"] = lambda: stride_case(1)
 
 
 class TestConfig:
@@ -376,6 +388,25 @@ class TestCallCounts:
         with pytest.raises(NonFiniteState) as exc:
             simulate(counting(plant, counts), spec_for(core, 2e-4, -1e15, 1e15), cfg)
         self.check(counts, round(exc.value.blowup_time / cfg.dt))
+
+
+class TestStiffnessGuard:
+    """simulate warns when dt times the spectral radius of the nominal loop reaches 2.5."""
+
+    def test_filter_pole_warns(self):
+        # the filter pole near -1/epsilon = -5000 gives dt * rho = 5 at dt = 1e-3
+        plant, spec, cfg = bundled_case("synthetic", t_final=0.002)
+        spec = dataclasses.replace(spec, epsilon=2e-4)
+        assert cfg.dt == 1e-3
+        with pytest.warns(UserWarning, match="RK4 may be unstable"):
+            simulate(plant, spec, cfg)
+
+    @pytest.mark.parametrize("name", cli.BUNDLED)
+    def test_bundled_scenarios_do_not_warn(self, name):
+        plant, spec, cfg = bundled_case(name, t_final=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate(plant, spec, cfg)
 
 
 class TestNonFiniteGuard:
