@@ -82,7 +82,7 @@ def ultimate_bound(
     The two published variants differ by a lambda_min(P) factor; the
     appendix derivation is complete, so its form is the primary one.
     """
-    if eta_value <= 0:
+    if not eta_value > 0:
         raise EtaNonpositive(f"eta = {eta_value:.3e} is not positive")
     drive = (consts.l_ht / consts.l_hu_low) * consts.delta_sigma + consts.d_sigma
     p_min = float(np.min(np.linalg.eigvalsh(P)))

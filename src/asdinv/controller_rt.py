@@ -69,7 +69,7 @@ class ControllerSpec:
         u_max = np.broadcast_to(np.asarray(self.u_max, dtype=float), (self.core.m,)).copy()
         object.__setattr__(self, "u_min", u_min)
         object.__setattr__(self, "u_max", u_max)
-        if np.any(u_min >= u_max):
+        if not np.all(u_min < u_max):
             raise ValueError("u_min must be below u_max componentwise")
         if self.realization_kind not in ("pi_closed", "observer"):
             raise ValueError(f"unknown realization {self.realization_kind!r}")

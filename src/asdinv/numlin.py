@@ -50,6 +50,7 @@ SELECT_RTOL = 1e-4  # selected vs computed eigenvalue, x max(max|lambda|, 1)
 TRAJ_RTOL = 1e-6  # y_p + y_s = y and PI-vs-observer u along a trace, x the trace's max norm
 FREQ_ULPS = 10  # PI-vs-observer response, x eps_mach x max cond(jwI - F_cl) x max|H|
 CERT_ATOL = 1e-12  # slack on V <= ball radius, x 1 (absolute, in the units of V)
+STIFF_DT_RHO = 2.5  # dt x spectral radius of the nominal loop; RK4's real-axis limit is 2.785
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 from .asd_design import LinearCore
 from .controller_rt import ControllerSpec, closed_realization, make_controller
 from .errors import EmptyTrace, NonFiniteState, UnknownUncertainty
-from .numlin import rk4_step
+from .numlin import STIFF_DT_RHO, rk4_step
 from .plants import UncertainPlant
 
 __all__ = ["SimConfig", "Trace", "Metrics", "simulate", "decompose", "energy_index", "metrics",
@@ -126,8 +126,9 @@ def simulate(
     A0, B = plant.A0, plant.B
     cl = closed_realization(controller)  # the nominal loop at the origin: h = u, sigma = 0
     rho = np.abs(np.linalg.eigvals(np.block([[A0 + B @ cl.D, B @ cl.H], [cl.G_in, cl.F]]))).max()
-    if dt * rho >= 2.5:
-        warnings.warn(f"dt*rho(nominal loop) = {dt * rho:.2f} >= 2.5; RK4 may be unstable", stacklevel=2)
+    if dt * rho >= STIFF_DT_RHO:
+        warnings.warn(f"dt*rho(nominal loop) = {dt * rho:.2f} >= {STIFF_DT_RHO}; RK4 may be unstable",
+                      stacklevel=2)
 
     CtB = core.CtB
     Kt = core.K.T

@@ -130,6 +130,11 @@ class TestUltimateBound:
         with pytest.raises(EtaNonpositive):
             ultimate_bound(0.1, 0.0, c, np.eye(2))
 
+    def test_nan_eta_rejected(self):
+        c = AssumptionConstants()
+        with pytest.raises(EtaNonpositive):
+            ultimate_bound(0.1, math.nan, c, np.eye(2))
+
 
 class TestBoundReport:
     def test_full_report(self, synthetic_core, synthetic_plant):

@@ -291,6 +291,27 @@ def test_no_tolerance_parameters():
     assert not found, found
 
 
+def test_public_api_declared_once():
+    # each module's __all__ is the one list of its public names; the package re-exports it
+    import importlib
+    import inspect
+    import pkgutil
+
+    import asdinv
+    from asdinv import errors
+
+    declared = set()
+    for info in pkgutil.iter_modules(asdinv.__path__):
+        module = importlib.import_module(f"asdinv.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert getattr(asdinv, name, None) is getattr(module, name), f"{info.name}.{name}"
+            declared.add(name)
+    stray = [name for name, obj in vars(asdinv).items()
+             if not name.startswith("_") and not inspect.ismodule(obj) and name not in declared
+             and not (inspect.isclass(obj) and obj.__module__ == errors.__name__)]
+    assert not stray, stray
+
+
 @pytest.mark.parametrize("z", [0.0, -0.25, -1.0, -2.0, -2.7])
 def test_rk4_step_linear_scalar(z):
     # on s' = lam s one classical RK4 step multiplies s by the degree-4

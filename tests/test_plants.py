@@ -249,6 +249,11 @@ class TestNanParameters:
         with pytest.raises(ValueError, match="positive|not exceed"):
             make(synthetic_core)
 
+    @pytest.mark.parametrize("u_min, u_max", [([NAN], [1.0]), ([0.0], [NAN])], ids=["u_min", "u_max"])
+    def test_nan_bound_raises(self, synthetic_core, u_min, u_max):
+        with pytest.raises(ValueError, match="u_min must be below u_max"):
+            ControllerSpec(synthetic_core, 0.1, u_min, u_max)
+
 
 class TestPlantInterface:
     def test_uncontrollable_pair_rejected(self):
