@@ -5,11 +5,15 @@ the empirical tail against the predicted admissible range.
 For each epsilon on a log grid the script simulates the closed loop and
 prints the sup-tail of ||x|| next to eta(epsilon) and the ultimate bound,
 making the sufficiency (and conservatism) of the bound visible at a
-glance. Output is CSV on stdout.
+glance. Output is CSV on stdout. The last column, stiff, is 1 when
+simulate warned that dt times the spectral radius of the nominal loop
+reaches numlin.STIFF_DT_RHO: RK4 does not resolve that loop, so the row's
+sup_tail is an integrator artifact, not a control outcome.
 """
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -31,20 +35,23 @@ def sweep(points: int, t_final: float) -> None:
     rep = bound_report(core, plant.constants)
     g0, g1, g2 = gammas(core, plant.constants)
     print(f"# eps_max = {rep.eps_max:.6g}", file=sys.stderr)
-    print("epsilon,eta,ultimate_bound_appendix,sup_tail,diverged")
+    print("epsilon,eta,ultimate_bound_appendix,sup_tail,diverged,stiff")
     for eps in np.logspace(np.log10(rep.eps_max) - 2, np.log10(rep.eps_max) + 0.5, points):
         ev = eta(eps, g0, g1, g2, plant.constants, core.P)
         r = bound_report(core, plant.constants, epsilon=eps)
         bound = r.ultimate_appendix if r.ultimate_appendix is not None else float("nan")
         spec = ControllerSpec(core, eps, np.array([-1000.0]), np.array([1000.0]))
         cfg = SimConfig(dt=1e-3, t_final=t_final, x0=np.array([1.0, 0.0]), record_stride=10)
-        try:
-            tail = metrics(simulate(plant, spec, cfg)).sup_tail
-            diverged = 0
-        except NonFiniteState:
-            tail = float("nan")
-            diverged = 1
-        print(f"{eps:.6g},{ev:.6g},{bound:.6g},{tail:.6g},{diverged}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                tail = metrics(simulate(plant, spec, cfg)).sup_tail
+                diverged = 0
+            except NonFiniteState:
+                tail = float("nan")
+                diverged = 1
+        stiff = int(any(issubclass(w.category, UserWarning) for w in caught))
+        print(f"{eps:.6g},{ev:.6g},{bound:.6g},{tail:.6g},{diverged},{stiff}")
 
 
 if __name__ == "__main__":

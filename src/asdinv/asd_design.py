@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    ComplexSpectrum,
+    DimensionMismatch,
     LyapunovFailure,
     MultiInput,
     SelectionNotEigenvalue,
@@ -87,16 +87,12 @@ class LtiRealization:
     H: np.ndarray
     D: np.ndarray
 
-    @property
-    def q(self) -> int:
-        return self.F.shape[0]
-
     def dc_gain(self) -> np.ndarray:
         return self.response(0.0)
 
     def response(self, s: complex) -> np.ndarray:
         return self.D + self.H @ np.linalg.solve(
-            s * np.eye(self.q) - self.F, self.G_in
+            s * np.eye(self.F.shape[0]) - self.F, self.G_in
         )
 
 
@@ -132,7 +128,7 @@ def build_core(
         B = B.reshape(-1, 1)
     n, m = B.shape
     if A0.shape != (n, n):
-        raise Uncontrollable(f"A0 shape {A0.shape} inconsistent with B {B.shape}")
+        raise DimensionMismatch(f"A0 shape {A0.shape} inconsistent with B {B.shape}")
     if controllability_rank(A0, B) < n:
         raise Uncontrollable("(A0, B) is not controllable")
 
@@ -144,52 +140,34 @@ def build_core(
             raise MultiInput("pole placement only covers single-input plants")
         K = ackermann_gain(A0, B, K_arr.ravel())
     else:
-        raise Uncontrollable(
+        raise DimensionMismatch(
             f"K_or_poles must be an {n}x{m} gain or {n} poles, got shape {K_arr.shape}"
         )
 
     A = A0 + B @ K.T
     pairs = real_eig(A)  # raises ComplexSpectrum
-    if any(p.value >= 0 for p in pairs):
-        raise Unstable(f"A = A0 + B K^T is not Hurwitz: spectrum {[p.value for p in pairs]}")
+    spectrum = np.array([p.value for p in pairs])
+    if np.any(spectrum >= 0):
+        raise Unstable(f"A = A0 + B K^T is not Hurwitz: spectrum {spectrum.tolist()}")
 
     selected = list(selected_eigs)
     if len(selected) != m:
         raise SelectionNotEigenvalue(f"need {m} selected eigenvalues, got {len(selected)}")
-    scale = max(np.max(np.abs([p.value for p in pairs])), 1.0)
-    used = [False] * len(pairs)
-    cols = []
-    lam = []
+    # nearest unused eigenvalue, first index on a tie; a NaN error never passes
+    tol = SELECT_RTOL * max(np.max(np.abs(spectrum)), 1.0)
+    picks: list[int] = []
     for want in selected:
-        best, best_err = None, np.inf
-        for i, p in enumerate(pairs):
-            if used[i]:
-                continue
-            err = abs(p.value - want)
-            if err < best_err:
-                best, best_err = i, err
-        if best is None or best_err > SELECT_RTOL * scale:
+        err = np.abs(spectrum - want)
+        err[picks] = np.inf
+        i = int(np.argmin(err))
+        if not err[i] <= tol:
             raise SelectionNotEigenvalue(
                 f"{want} is not an (unused) eigenvalue of A; spectrum "
                 f"{[round(p.value, 6) for p in pairs]}"
             )
-        used[best] = True
-        cols.append(pairs[best].vector)
-        lam.append(-pairs[best].value)
-    C = np.column_stack(cols)
-    Lam = np.diag(lam)
-
-    if not ctb_invertible(C, B):
-        raise SingularCB(
-            f"sigma_min(C^T B) <= {RANK_RTOL:.0e} ||C|| ||B||; "
-            "the selected eigenvectors do not give an invertible transfer path"
-        )
-
-    resid = np.linalg.norm(C.T @ A + Lam @ C.T)
-    if resid > IDENTITY_RTOL * np.linalg.norm(A):
-        raise SelectionNotEigenvalue(
-            f"C^T A + Lambda C^T residual {resid:.3e} exceeds tolerance"
-        )
+        picks.append(i)
+    C = np.column_stack([pairs[i].vector for i in picks])
+    Lam = np.diag(-spectrum[picks])
 
     M = np.eye(n)
     try:
@@ -197,7 +175,18 @@ def build_core(
     except (SingularSystem, Unstable) as exc:
         raise LyapunovFailure(str(exc)) from exc
 
-    return LinearCore(n=n, m=m, A0=A0, B=B, K=K, A=A, C=C, Lam=Lam, P=P, M=M)
+    core = LinearCore(n=n, m=m, A0=A0, B=B, K=K, A=A, C=C, Lam=Lam, P=P, M=M)
+    report = verify_theorem1(core)
+    if not report.checks["ctb_invertible"]:
+        raise SingularCB(
+            f"sigma_min(C^T B) <= {RANK_RTOL:.0e} ||C|| ||B||; "
+            "the selected eigenvectors do not give an invertible transfer path"
+        )
+    if not report.checks["output_identity"]:
+        raise SelectionNotEigenvalue(
+            f"C^T A + Lambda C^T residual {report.theorem1_residual:.3e} exceeds tolerance"
+        )
+    return core
 
 
 def build_G(core: LinearCore) -> LtiRealization:

@@ -117,16 +117,6 @@ def hsu_siso() -> UncertainPlant:
     return UncertainPlant("hsu_siso", 3, 1, A0, B, h, sigma)
 
 
-# F-16 roll/yaw input-nonlinearity constants
-_F16 = dict(
-    A1=0.33, A2=0.195, A3=0.45, A4=1.85,
-    D1=0.295, D2=-0.0865, D3=0.055, D4=-0.007,
-    w1=1.6, w2=0.0, w3=-1.9, w4=0.0,
-    C1=0.3, C2=0.3, h1=7.0, h2=2.7,
-    width1=0.25, width2=0.25, beta0=0.0,
-)
-
-
 def f16_rollyaw(f2_typo_fix: bool = False) -> UncertainPlant:
     """Lateral/directional F-16 model with aileron/rudder nonlinearities.
 
@@ -142,24 +132,31 @@ def f16_rollyaw(f2_typo_fix: bool = False) -> UncertainPlant:
         [8.5395, 0.0, -0.0254, -0.4764],
     ])
     B = np.array([[0.0, 0.0], [0.0, 0.0], [-0.7331, 0.1315], [-0.0319, -0.0620]])
-    c = _F16
+    # input-nonlinearity constants, bound once for h
+    A1, A2, A3, A4 = 0.33, 0.195, 0.45, 1.85
+    D1, D2, D3, D4 = 0.295, -0.0865, 0.055, -0.007
+    w1, w2, w3, w4 = 1.6, 0.0, -1.9, 0.0
+    C1, C2, h1, h2 = 0.3, 0.3, 7.0, 2.7
+    width1, width2, beta0 = 0.25, 0.25, 0.0
+    g1, g2, s1, s2 = 1 - C1, 1 - C2, 2 * width1 ** 2, 2 * width2 ** 2
 
     def h(t, u, x):
         xt, ut = x.T, u.T
         beta, ps, rs = xt[0], xt[2], xt[3]
         da, dr = ut[0], ut[1]
-        gauss1 = (1 - c["C1"]) * np.exp(-((beta - c["beta0"]) ** 2) / (2 * c["width1"] ** 2)) + c["C1"]
-        gauss2 = (1 - c["C2"]) * np.exp(-((beta - c["beta0"]) ** 2) / (2 * c["width2"] ** 2)) + c["C2"]
+        db2 = -((beta - beta0) ** 2)
+        gauss1 = g1 * np.exp(db2 / s1) + C1
+        gauss2 = g2 * np.exp(db2 / s2) + C2
         f1 = (
-            gauss1 * (np.tanh(da + c["h1"]) + np.tanh(da - c["h1"]) + 0.001 * da)
-            + c["D1"] * np.cos(c["A1"] * ps - c["w1"]) * np.sin(c["A2"] * rs - c["w2"])
-            + c["D2"]
+            gauss1 * (np.tanh(da + h1) + np.tanh(da - h1) + 0.001 * da)
+            + D1 * np.cos(A1 * ps - w1) * np.sin(A2 * rs - w2)
+            + D2
         )
         second = dr if f2_typo_fix else da
         f2 = (
-            gauss2 * (np.tanh(dr + c["h2"]) + np.tanh(second - c["h2"]) + 0.001 * dr)
-            + c["D3"] * np.cos(c["A3"] * ps - c["w3"]) * np.sin(c["A4"] * rs - c["w4"])
-            + c["D4"]
+            gauss2 * (np.tanh(dr + h2) + np.tanh(second - h2) + 0.001 * dr)
+            + D3 * np.cos(A3 * ps - w3) * np.sin(A4 * rs - w4)
+            + D4
         )
         return np.array([da + f1, dr + f2]).T
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from asdinv import (
     ControllerSpec,
+    DimensionMismatch,
+    MultiInput,
     SelectionNotEigenvalue,
     SimConfig,
     SingularCB,
@@ -90,6 +92,59 @@ class TestBuildCore:
 
         with pytest.raises((SingularCB, Uncontrollable)):
             build_core(A0, B, np.zeros((2, 1)), [-2.0])
+
+
+class TestBuildCoreFaults:
+    """Each rejection of build_core, with its exception class and message."""
+
+    def test_selection_count_must_equal_inputs(self):
+        with pytest.raises(SelectionNotEigenvalue) as exc:
+            build_core(-np.eye(2), np.eye(2), np.zeros((2, 2)), [-1.0])
+        assert str(exc.value) == "need 2 selected eigenvalues, got 1"
+
+    def test_singular_ctb_on_controllable_pair(self):
+        # rows 1 and 2 of B are equal, so the A^T eigenvectors e1 and e2
+        # at -1 and -2 both see only the first input: C^T B = [[1, 0], [1, 0]]
+        A0 = np.diag([-1.0, -2.0, -3.0])
+        B = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(SingularCB) as exc:
+            build_core(A0, B, np.zeros((3, 2)), [-1.0, -2.0])
+        assert str(exc.value) == (
+            "sigma_min(C^T B) <= 1e-10 ||C|| ||B||; "
+            "the selected eigenvectors do not give an invertible transfer path"
+        )
+
+    def test_poles_for_multi_input_plant(self):
+        with pytest.raises(MultiInput):
+            build_core(-np.eye(2), np.eye(2), [-1.0, -2.0], [-1.0, -2.0])
+
+    @pytest.mark.parametrize("select, shown", [
+        ([-1.0, float("nan")], "nan"),
+        ([-1.0, -1.0], "-1.0"),
+    ], ids=["nan", "used"])
+    def test_selection_not_an_unused_eigenvalue(self, select, shown):
+        with pytest.raises(SelectionNotEigenvalue) as exc:
+            build_core(np.diag([-1.0, -2.0]), np.eye(2), np.zeros((2, 2)), select)
+        assert str(exc.value) == (
+            f"{shown} is not an (unused) eigenvalue of A; spectrum [-2.0, -1.0]"
+        )
+
+    @pytest.mark.parametrize("A0, select, C", [
+        (np.diag([-1.0, -2.0]), [-2.00001, -1.0], [[0.0, 1.0], [1.0, 0.0]]),
+        (-np.eye(2), [-1.0, -1.0], np.eye(2)),  # a tie goes to the first eigenpair
+    ], ids=["nearest", "tie"])
+    def test_selection_takes_the_nearest_unused_eigenpair(self, A0, select, C):
+        core = build_core(A0, np.eye(2), np.zeros((2, 2)), select)
+        np.testing.assert_array_equal(core.C, C)
+
+    @pytest.mark.parametrize("A0, K, message", [
+        (-np.eye(3), np.zeros((2, 2)), "A0 shape (3, 3) inconsistent with B (2, 2)"),
+        (-np.eye(2), np.zeros((3, 2)), "K_or_poles must be an 2x2 gain or 2 poles, got shape (3, 2)"),
+    ], ids=["A0", "K"])
+    def test_shape_fault_is_dimension_mismatch(self, A0, K, message):
+        with pytest.raises(DimensionMismatch) as exc:
+            build_core(A0, np.eye(2), K, [-1.0, -1.0])
+        assert str(exc.value) == message
 
 
 class TestRealization:

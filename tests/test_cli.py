@@ -160,6 +160,39 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, edit, overrides, code, prefix", [
+        ("verify", None, ["epsilon=0.0002", "sim.t_final=0.01"], EXIT_DIVERGENCE, "divergence:"),
+        ("design", None, ["design.select=[-7]"], EXIT_CONFIG, "error:"),
+        ("design", lambda raw: raw["plant"].update(kind="nope"), [], EXIT_CONFIG, "config error:"),
+        ("design", lambda raw: raw["design"].pop("select"), [], EXIT_CONFIG, "config error:"),
+        ("design", lambda raw: raw.update(design={"select": raw["design"]["select"]}), [],
+         EXIT_CONFIG, "config error:"),
+        ("bound", lambda raw: raw.update(constants={"bogus": 1}), [], EXIT_CONFIG, "config error:"),
+        ("design", "{not json", [], EXIT_CONFIG, "config error:"),
+        ("design", None, ["nosuchfield=1"], EXIT_CONFIG, "config error:"),
+        ("design", None, ["epsilon.x=1"], EXIT_CONFIG, "config error:"),
+    ], ids=["verify_diverges", "design_fault", "unknown_kind", "no_select", "no_gain",
+            "bad_constants", "not_json", "unknown_field", "path_through_number"])
+    def test_exit_path(self, tmp_path, capsys, command, edit, overrides, code, prefix):
+        # edit is None for the bundled siso, a str for a file's text, or a
+        # function that changes siso's raw scenario before it is written
+        scenario = "siso"
+        if edit is not None:
+            if isinstance(edit, str):
+                text = edit
+            else:
+                raw = load_scenario("siso").raw
+                edit(raw)
+                text = json.dumps(raw)
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(text)
+        argv = [command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+        for ov in overrides:
+            argv += ["--set", ov]
+        assert run(argv) == code
+        assert capsys.readouterr().err.startswith(prefix)
+        assert list(tmp_path.glob("out/*/*.json")) == []  # no verify.json on divergence
+
 
 class TestOutputs:
     def test_design_outputs(self, tmp_path):
