@@ -90,10 +90,10 @@ class LtiRealization:
     def dc_gain(self) -> np.ndarray:
         return self.response(0.0)
 
-    def response(self, s: complex) -> np.ndarray:
-        return self.D + self.H @ np.linalg.solve(
-            s * np.eye(self.F.shape[0]) - self.F, self.G_in
-        )
+    def response(self, s) -> np.ndarray:
+        """D + H (sI - F)^-1 G_in; an array of s gives the stack, from one solve."""
+        s = np.asarray(s)[..., None, None]
+        return self.D + self.H @ np.linalg.solve(s * np.eye(self.F.shape[0]) - self.F, self.G_in)
 
 
 @dataclass(frozen=True)

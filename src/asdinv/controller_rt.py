@@ -60,7 +60,7 @@ class ControllerSpec:
     epsilon: float
     u_min: np.ndarray
     u_max: np.ndarray
-    realization_kind: str = "pi_closed"  # or "observer"
+    realization_kind: str = "pi_closed"  # a key of _REALIZATIONS
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -71,7 +71,7 @@ class ControllerSpec:
         object.__setattr__(self, "u_max", u_max)
         if not np.all(u_min < u_max):
             raise ValueError("u_min must be below u_max componentwise")
-        if self.realization_kind not in ("pi_closed", "observer"):
+        if self.realization_kind not in _REALIZATIONS:
             raise ValueError(f"unknown realization {self.realization_kind!r}")
 
 
@@ -167,27 +167,23 @@ class ObserverController(_ControllerBase):
     step_observer = _ControllerBase.step
 
 
+_REALIZATIONS = {"pi_closed": PiController, "observer": ObserverController}
+
+
 def make_controller(spec: ControllerSpec):
-    if spec.realization_kind == "pi_closed":
-        return PiController(spec)
-    return ObserverController(spec)
+    return _REALIZATIONS[spec.realization_kind](spec)
 
 
-def closed_realization(spec: ControllerSpec) -> LtiRealization:
-    """The unsaturated x -> u map of the spec's kind: u = H s + D x closed
+def closed_realization(c: _ControllerBase) -> LtiRealization:
+    """The unsaturated x -> u map of a built controller: u = H s + D x closed
     around s' = F s + Gx x + Gu u, i.e. D + H (sI - F - Gu H)^-1 (Gx + Gu D)."""
-    c = make_controller(spec)
     return LtiRealization(F=c.F + c.Gu @ c.H, G_in=c.Gx + c.Gu @ c.D, H=c.H, D=c.D)
 
 
 def x_to_u_response(spec: ControllerSpec, omegas) -> np.ndarray:
     """Frequency response of the unsaturated x -> u map, shape (len(omegas), m, n).
 
-    Evaluates closed_realization(spec) at s = j omega; comparing the two
-    kinds checks the algebraic equivalence u = -(I - Q)^-1 Q G^-1 C^T x.
+    Evaluates the closed realization at all s = j omega at once; comparing the
+    two kinds checks the algebraic equivalence u = -(I - Q)^-1 Q G^-1 C^T x.
     """
-    closed = closed_realization(spec)
-    out = np.empty((len(omegas), spec.core.m, spec.core.n), dtype=complex)
-    for k, w in enumerate(omegas):
-        out[k] = closed.response(1j * w)
-    return out
+    return closed_realization(make_controller(spec)).response(1j * np.asarray(omegas, dtype=float))

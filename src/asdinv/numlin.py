@@ -249,10 +249,9 @@ def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
     # tolerance even though the gain is correct to working precision.
     A_cl = A0 + b @ K.T
     scale = max(np.linalg.norm(A_cl, 2), 1.0)
-    eye = np.eye(n)
-    for p in poles:
-        if np.linalg.svd(A_cl - p * eye, compute_uv=False)[-1] > POLE_RTOL * scale:
-            raise Uncontrollable("pole placement verification failed")
+    sigma_min = np.linalg.svd(A_cl - poles[:, None, None] * np.eye(n), compute_uv=False)[:, -1]
+    if np.any(sigma_min > POLE_RTOL * scale):
+        raise Uncontrollable("pole placement verification failed")
     return K
 
 

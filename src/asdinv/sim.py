@@ -124,7 +124,7 @@ def simulate(
     nsteps = int(round(simcfg.t_final / dt))
 
     A0, B = plant.A0, plant.B
-    cl = closed_realization(controller)  # the nominal loop at the origin: h = u, sigma = 0
+    cl = closed_realization(ctrl)  # the nominal loop at the origin: h = u, sigma = 0
     rho = np.abs(np.linalg.eigvals(np.block([[A0 + B @ cl.D, B @ cl.H], [cl.G_in, cl.F]]))).max()
     if dt * rho >= STIFF_DT_RHO:
         warnings.warn(f"dt*rho(nominal loop) = {dt * rho:.2f} >= {STIFF_DT_RHO}; RK4 may be unstable",

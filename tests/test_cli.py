@@ -193,6 +193,14 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(prefix)
         assert list(tmp_path.glob("out/*/*.json")) == []  # no verify.json on divergence
 
+    def test_verify_divergence_names_its_run(self, tmp_path, capsys):
+        # the scenario run and the unsaturated PI run finish; the observer run blows up
+        argv = ["verify", "--scenario", "siso", "--set", "epsilon=0.0002", "--set", "sim.t_final=0.01",
+                "--out", str(tmp_path)]
+        assert run(argv) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == ("divergence: unsaturated observer run: "
+                                           "closed loop diverged at t = 0.0090 s\n")
+
 
 class TestOutputs:
     def test_design_outputs(self, tmp_path):

@@ -10,7 +10,9 @@ from asdinv import (
     ObserverController,
     PiController,
     SimConfig,
+    build_G,
     build_core,
+    closed_realization,
     make_controller,
     pi_gains,
     simulate,
@@ -162,3 +164,17 @@ class TestStateSpace:
         got = x_to_u_response(spec, omegas)
         want = np.array([-Kp - Ki / (1j * w) for w in omegas])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
+    @pytest.mark.parametrize("core_name", ["siso_core", "f16_core", "quad_core"])
+    def test_response_on_array_equals_loop(self, request, core_name, kind):
+        # one stacked solve gives the bits of one solve per s
+        core = request.getfixturevalue(core_name)
+        spec = spec_for(core, 0.05, -1e9, 1e9, kind=kind)
+        closed = closed_realization(make_controller(spec))
+        s = 1j * np.logspace(-2, 2, 20)
+        assert np.array_equal(closed.response(s), np.array([closed.response(v) for v in s]))
+        assert np.array_equal(x_to_u_response(spec, s.imag), closed.response(s))
+        G = build_G(core)  # the closed PI realization has a pole at s = 0
+        assert G.dc_gain().dtype == float
+        assert np.array_equal(G.dc_gain(), G.response(0.0))

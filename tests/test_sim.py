@@ -22,7 +22,7 @@ from asdinv import (
     synthetic_lti,
 )
 
-from asdinv.controller_rt import pi_gains
+from asdinv.controller_rt import _ControllerBase, pi_gains
 
 from conftest import spec_for
 
@@ -407,6 +407,21 @@ class TestStiffnessGuard:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             simulate(plant, spec, cfg)
+
+    @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
+    def test_guard_reads_the_running_controller(self, monkeypatch, kind):
+        # one simulate call builds one controller, for the guard and the loop alike
+        built = []
+        init = _ControllerBase.__init__
+
+        def counted_init(self, spec):
+            built.append(spec)
+            init(self, spec)
+
+        monkeypatch.setattr(_ControllerBase, "__init__", counted_init)
+        plant, spec, cfg = bundled_case("siso", t_final=0.01)
+        simulate(plant, dataclasses.replace(spec, realization_kind=kind), cfg)
+        assert len(built) == 1
 
 
 class TestNonFiniteGuard:
