@@ -92,8 +92,9 @@ class LtiRealization:
 
     def response(self, s) -> np.ndarray:
         """D + H (sI - F)^-1 G_in; an array of s gives the stack, from one solve."""
-        s = np.asarray(s)[..., None, None]
-        return self.D + self.H @ np.linalg.solve(s * np.eye(self.F.shape[0]) - self.F, self.G_in)
+        a = np.asarray(s)[..., None, None] * np.eye(self.F.shape[0]) - self.F
+        b = np.broadcast_to(self.G_in, a.shape[:-2] + self.G_in.shape)  # else numpy 1.x sees vectors
+        return self.D + self.H @ np.linalg.solve(a, b)
 
 
 @dataclass(frozen=True)

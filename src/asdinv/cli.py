@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -292,16 +293,21 @@ def cmd_verify(sc: Scenario, args) -> int:
     checks.update({f"theorem1.{k}": v for k, v in report.checks.items()})
     detail["theorem1_residual"] = report.theorem1_residual
 
-    # the scenario's run, then both realizations unsaturated; a divergence names its run
+    # the scenario's run, then both realizations unsaturated; a divergence and
+    # the warnings of a run name it, and each run warns on its own
     wide = ControllerSpec(core, spec.epsilon, -1e9 * np.ones(core.m), 1e9 * np.ones(core.m))
     wide_obs = dataclasses.replace(wide, realization_kind="observer")
     traces = []
     for label, run_spec, decomposed in [("scenario", spec, True), ("unsaturated PI", wide, False),
                                         ("unsaturated observer", wide_obs, False)]:
         try:
-            traces.append(sim.simulate(plant, run_spec, cfg, decomposed, scenario_name=sc.name))
+            with warnings.catch_warnings(record=True) as caught:
+                traces.append(sim.simulate(plant, run_spec, cfg, decomposed, scenario_name=sc.name))
         except NonFiniteState as exc:
             raise NonFiniteState(f"{label} run: {exc}", blowup_time=exc.blowup_time, trace=exc.trace)
+        finally:
+            for w in caught:
+                warnings.warn_explicit(f"{label} run: {w.message}", w.category, w.filename, w.lineno)
     trace, tr_pi, tr_ob = traces
 
     if plant.input_delay == 0:
@@ -318,8 +324,7 @@ def cmd_verify(sc: Scenario, args) -> int:
     # the responses agree to round-off amplified by cond(jwI - F_cl) of the
     # closed realizations, which grows as epsilon and omega shrink
     omegas = np.logspace(-2, 2, 20)
-    H_pi = x_to_u_response(wide, omegas)
-    H_ob = x_to_u_response(wide_obs, omegas)
+    H_pi, H_ob = (x_to_u_response(s, omegas) for s in (wide, wide_obs))
     dH = np.max(np.abs(H_pi - H_ob))
     hscale = max(np.max(np.abs(H_pi)), 1e-30)
     F_cls = [closed_realization(make_controller(s)).F for s in (wide, wide_obs)]

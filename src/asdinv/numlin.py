@@ -230,17 +230,11 @@ def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
     if controllability_rank(A0, b) < n:
         raise Uncontrollable("(A0, b) is not controllable")
 
-    ctrb = _ctrb(A0, b)
-
     coeffs = np.poly(poles)  # monic desired characteristic polynomial
     pA = np.zeros_like(A0)
     for c in coeffs:
         pA = pA @ A0 + c * np.eye(n)
-
-    en = np.zeros(n)
-    en[-1] = 1.0
-    k_row = en @ np.linalg.solve(ctrb, pA)
-    K = -k_row.reshape(-1, 1)
+    K = -np.linalg.solve(_ctrb(A0, b), pA)[-1].reshape(-1, 1)  # K^T = -e_n^T ctrb^-1 p(A0)
 
     # verify by backward error: each target pole must be an exact eigenvalue
     # of a matrix within POLE_RTOL * ||A_cl|| of A_cl. A forward comparison of

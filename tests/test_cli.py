@@ -1,10 +1,15 @@
 """Command-line interface: scenario loading, overrides, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import asdinv
 from asdinv.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
@@ -200,6 +205,20 @@ class TestExitCodes:
         assert run(argv) == EXIT_DIVERGENCE
         assert capsys.readouterr().err == ("divergence: unsaturated observer run: "
                                            "closed loop diverged at t = 0.0090 s\n")
+
+    def test_verify_warns_once_per_run(self, tmp_path):
+        # all three runs are stiff here; a fresh interpreter applies Python's
+        # default once-per-location filter, and each run's warning names it
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(asdinv.__file__).resolve().parents[1])
+        argv = ["verify", "--scenario", "siso", "--set", "epsilon=0.0002", "--set", "sim.t_final=0.01",
+                "--out", str(tmp_path)]
+        res = subprocess.run([sys.executable, "-m", "asdinv.cli", *argv], capture_output=True, text=True, env=env)
+        assert res.returncode == EXIT_DIVERGENCE
+        warned = [line.split("UserWarning: ")[1] for line in res.stderr.splitlines() if "UserWarning: " in line]
+        assert [w.split(" run: ")[0] for w in warned] == ["scenario", "unsaturated PI", "unsaturated observer"]
+        assert all(w.endswith("dt*rho(nominal loop) = 4.99 >= 2.5; RK4 may be unstable") for w in warned)
+        assert res.stderr.endswith("divergence: unsaturated observer run: closed loop diverged at t = 0.0090 s\n")
 
 
 class TestOutputs:

@@ -178,3 +178,19 @@ class TestStateSpace:
         G = build_G(core)  # the closed PI realization has a pole at s = 0
         assert G.dc_gain().dtype == float
         assert np.array_equal(G.dc_gain(), G.response(0.0))
+
+    def test_response_solves_a_stack_of_matrices(self, siso_core, monkeypatch):
+        # numpy 1.x reads a right-hand side with one dimension fewer than the
+        # stack as a stack of vectors; response must hand over matrices
+        closed = closed_realization(make_controller(spec_for(siso_core, 0.05, -1e9, 1e9, kind="observer")))
+        solve, shapes = np.linalg.solve, []
+
+        def checked_solve(a, b):
+            shapes.append((a.shape, b.shape))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", checked_solve)
+        closed.response(1j * np.logspace(-2, 2, 5))
+        closed.response(0.5j)
+        q, n = closed.G_in.shape
+        assert shapes == [((5, q, q), (5, q, n)), ((q, q), (q, n))]
