@@ -6,13 +6,17 @@
 Runs design, simulate, verify and bound on the 7 bundled scenarios, once
 per checkout (OTHER_SRC, then this checkout's src/), each command as one
 subprocess `python -m asdinv.cli <cmd> --scenario <all 7> --out <tmp>/<side>/<cmd>`
-with PYTHONPATH set to that src and BLAS on one thread. Compares the exit
-codes, stdout, stderr and every output file, with each side's src and output
-paths replaced by placeholders. Prints the items that differ and exits 1
-when any do. Takes about a minute per side.
+with PYTHONPATH set to that src and BLAS on one thread. Then runs each of
+EDGE_CASES (a stiff, a diverging and two rejected runs) as one subprocess.
+Compares the exit codes, stdout, stderr and every output file, with each
+side's src and output paths replaced by placeholders, and each warning's
+`<file>:<line>:` location and the source line echoed below it scrubbed, so
+that moving code does not show as a difference. Prints the items that
+differ and exits 1 when any do. Takes about a minute per side.
 """
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,6 +24,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = ("design", "simulate", "verify", "bound")
+EDGE_CASES = (
+    ("verify", "--scenario", "siso", "--set", "epsilon=0.0002", "--set", "sim.t_final=0.01"),
+    ("simulate", "--scenario", "delay_demo", "--set", "epsilon=0.001",
+     "--set", "saturation.min=-1e12", "--set", "saturation.max=1e12"),
+    ("design", "--scenario", "siso", "--set", "design.select=[-7]"),
+    ("simulate", "--scenario", "siso", "--set", "epsilon=-1"),
+)
+# "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
+WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)
 
 sys.path.insert(0, str(SRC))
 from asdinv.cli import BUNDLED  # noqa: E402
@@ -31,21 +44,23 @@ def run_side(src: Path, out: Path) -> dict:
     env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
 
     def scrub(text: bytes) -> bytes:
-        return text.replace(os.fsencode(src), b"<src>").replace(os.fsencode(out), b"<out>")
+        text = text.replace(os.fsencode(src), b"<src>").replace(os.fsencode(out), b"<out>")
+        return WARNING.sub(rb"<where>: \1", text)
 
+    runs = [(cmd, cmd, [cmd] + [arg for name in BUNDLED for arg in ("--scenario", name)])
+            for cmd in COMMANDS]
+    runs += [(" ".join(case), f"edge{i}", list(case)) for i, case in enumerate(EDGE_CASES)]
     items = {}
     out.mkdir(parents=True)
-    for cmd in COMMANDS:
-        argv = [sys.executable, "-m", "asdinv.cli", cmd, "--out", str(out / cmd)]
-        for name in BUNDLED:
-            argv += ["--scenario", name]
+    for label, subdir, args in runs:
+        argv = [sys.executable, "-m", "asdinv.cli", *args, "--out", str(out / subdir)]
         proc = subprocess.run(argv, capture_output=True, env=env, cwd=out)
-        items[f"{cmd}: exit code"] = str(proc.returncode).encode()
-        items[f"{cmd}: stdout"] = scrub(proc.stdout)
-        items[f"{cmd}: stderr"] = scrub(proc.stderr)
-        for path in sorted((out / cmd).rglob("*")):
+        items[f"{label}: exit code"] = str(proc.returncode).encode()
+        items[f"{label}: stdout"] = scrub(proc.stdout)
+        items[f"{label}: stderr"] = scrub(proc.stderr)
+        for path in sorted((out / subdir).rglob("*")):
             if path.is_file():
-                items[f"{cmd}: {path.relative_to(out / cmd)}"] = path.read_bytes()
+                items[f"{label}: {path.relative_to(out / subdir)}"] = path.read_bytes()
     return items
 
 
@@ -61,8 +76,8 @@ def main() -> int:
     for name in differ:
         missing = " (missing in OTHER_SRC)" if name not in other else " (missing here)" if name not in this else ""
         print(f"differs: {name}{missing}")
-    print(f"{len(COMMANDS)} commands x {len(BUNDLED)} scenarios: {len(names)} items compared, "
-          f"{len(differ)} differ")
+    print(f"{len(COMMANDS)} commands x {len(BUNDLED)} scenarios and {len(EDGE_CASES)} edge cases: "
+          f"{len(names)} items compared, {len(differ)} differ")
     return 1 if differ else 0
 
 

@@ -45,14 +45,16 @@ def _finite_only(token: str):
 
 def _load_raw(ref: str) -> dict:
     path = Path(ref)
-    if path.suffix == ".json" and path.exists():
-        text = path.read_text()
-    elif ref in BUNDLED:
-        text = resources.files("asdinv.scenarios").joinpath(f"{ref}.json").read_text()
-    else:
-        raise ConfigError(f"unknown scenario {ref!r}: not a bundled name {BUNDLED} or a .json path")
     try:
+        if path.suffix == ".json" and path.exists():
+            text = path.read_text()
+        elif ref in BUNDLED:
+            text = resources.files("asdinv.scenarios").joinpath(f"{ref}.json").read_text()
+        else:
+            raise ConfigError(f"unknown scenario {ref!r}: not a bundled name {BUNDLED} or a .json path")
         return json.loads(text, parse_constant=_finite_only)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"scenario {ref!r} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario {ref!r} is not valid JSON: {exc}") from exc
 
@@ -77,6 +79,8 @@ def _apply_override(raw: dict, key: str, value: str) -> None:
         node = node[p]
     if not isinstance(node, dict):
         raise ConfigError(f"--set path {key!r} does not address a field")
+    if parts[-1] not in node:
+        raise ConfigError(f"--set path {key!r}: no field {parts[-1]!r}")
     node[parts[-1]] = parsed
 
 
@@ -187,17 +191,6 @@ def build_sim_config(sc: Scenario) -> sim.SimConfig:
         raise ConfigError(f"bad 'sim' section: {exc}") from exc
 
 
-def _build(sc: Scenario, with_sim: bool = True):
-    """Plant, core, controller spec and (with_sim) sim config of a scenario."""
-    plant = build_plant(sc)
-    core = build_core(sc, plant)
-    spec = build_controller_spec(sc, core)
-    cfg = build_sim_config(sc) if with_sim else None
-    if cfg is not None and cfg.x0.shape != (plant.n,):
-        raise ConfigError(f"field 'sim.x0' must have length {plant.n}, got shape {cfg.x0.shape}")
-    return plant, core, spec, cfg
-
-
 def _constants(sc: Scenario, plant) -> plants.AssumptionConstants:
     if "constants" in sc.raw and sc.raw["constants"]:
         try:
@@ -230,8 +223,7 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def cmd_design(sc: Scenario, args) -> int:
-    _, core, spec, _ = _build(sc, with_sim=False)
+def cmd_design(sc: Scenario, plant, core, spec, cfg, args) -> int:
     Kp, Ki = pi_gains(core, spec.epsilon)
     report = asd_design.verify_theorem1(core)
     summary = {
@@ -257,8 +249,7 @@ def cmd_design(sc: Scenario, args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(sc: Scenario, args) -> int:
-    plant, _, spec, cfg = _build(sc)
+def cmd_simulate(sc: Scenario, plant, core, spec, cfg, args) -> int:
     out = _out_dir(args, sc)
     try:
         trace = sim.simulate(plant, spec, cfg, scenario_name=sc.name)
@@ -283,8 +274,7 @@ def cmd_simulate(sc: Scenario, args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(sc: Scenario, args) -> int:
-    plant, core, spec, cfg = _build(sc)
+def cmd_verify(sc: Scenario, plant, core, spec, cfg, args) -> int:
     out = _out_dir(args, sc)
     checks: dict[str, bool] = {}
     detail: dict[str, float] = {}
@@ -340,11 +330,9 @@ def cmd_verify(sc: Scenario, args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_bound(sc: Scenario, args) -> int:
-    plant = build_plant(sc)
-    core = build_core(sc, plant)
+def cmd_bound(sc: Scenario, plant, core, spec, cfg, args) -> int:
     consts = _constants(sc, plant)
-    report = analysis.bound_report(core, consts, epsilon=float(sc.raw["epsilon"]))
+    report = analysis.bound_report(core, consts, epsilon=spec.epsilon)
     out = _out_dir(args, sc)
     _write_json(out / "bound.json", {"scenario": sc.name, **report.to_dict()})
     eps_max = report.eps_max
@@ -367,7 +355,14 @@ COMMANDS = {
 def _run_one(command, ref, overrides, args) -> int:
     try:
         sc = load_scenario(ref, overrides)
-        return COMMANDS[command](sc, args)
+        # every command builds and validates the whole scenario first
+        plant = build_plant(sc)
+        core = build_core(sc, plant)
+        spec = build_controller_spec(sc, core)
+        cfg = build_sim_config(sc)
+        if cfg.x0.shape != (plant.n,):
+            raise ConfigError(f"field 'sim.x0' must have length {plant.n}, got shape {cfg.x0.shape}")
+        return COMMANDS[command](sc, plant, core, spec, cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -47,10 +47,13 @@ class SimConfig:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         if not (0 < self.dt <= self.t_final):
             raise ValueError("need 0 < dt <= t_final")
-        if not isinstance(self.record_stride, (int, np.integer)) or self.record_stride < 1:
+        if not np.all(np.isfinite(self.x0)):
+            raise ValueError("x0 must be finite")
+        stride = self.record_stride
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
             raise ValueError("record_stride must be a positive integer")
         steps = self.t_final / self.dt
-        if not (np.isfinite(steps) and round(steps) // self.record_stride + 1 <= _MAX_ROWS):
+        if not (np.isfinite(steps) and round(steps) // stride + 1 <= _MAX_ROWS):
             raise ValueError(f"t_final/dt/record_stride gives over {_MAX_ROWS} recorded samples")
 
 

@@ -131,6 +131,7 @@ class TestExitCodes:
         "design.poles=[-1,-2,NaN]",
         "saturation.max=Infinity",
         "sim.record_stride=2.7",
+        "sim.record_stride=true",
     ])
     def test_non_finite_or_fractional_number_is_config_error(self, tmp_path, capsys, override):
         # json.loads reads NaN and +-Infinity unless told otherwise
@@ -150,6 +151,14 @@ class TestExitCodes:
         path.write_text(top)
         assert run(["design", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [Path.mkdir, lambda path: path.write_bytes(b"\xff{}")],
+                             ids=["directory", "not_utf8"])
+    def test_unreadable_scenario_path_is_config_error(self, tmp_path, capsys, make):
+        path = tmp_path / "scenario.json"
+        make(path)
+        assert run(["design", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("name", ["3", "null", "[1]", '"../escaped"', '""', '"."', '".."', '"a/b"'])
     def test_name_not_one_path_component_is_config_error(self, tmp_path, capsys, name):
@@ -176,8 +185,12 @@ class TestExitCodes:
         ("design", "{not json", [], EXIT_CONFIG, "config error:"),
         ("design", None, ["nosuchfield=1"], EXIT_CONFIG, "config error:"),
         ("design", None, ["epsilon.x=1"], EXIT_CONFIG, "config error:"),
+        ("simulate", None, ["sim.t_finl=0.5"], EXIT_CONFIG, "config error:"),
+        ("design", None, ["sim.dt=-1"], EXIT_CONFIG, "config error:"),
+        ("bound", None, ["saturation.min=10"], EXIT_CONFIG, "config error:"),
     ], ids=["verify_diverges", "design_fault", "unknown_kind", "no_select", "no_gain",
-            "bad_constants", "not_json", "unknown_field", "path_through_number"])
+            "bad_constants", "not_json", "unknown_field", "path_through_number",
+            "mistyped_leaf", "design_checks_sim", "bound_fault_before_constants"])
     def test_exit_path(self, tmp_path, capsys, command, edit, overrides, code, prefix):
         # edit is None for the bundled siso, a str for a file's text, or a
         # function that changes siso's raw scenario before it is written

@@ -154,6 +154,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=1e-3, t_final=1.0, x0=np.zeros(2), record_stride=0)
 
+    @pytest.mark.parametrize("x0", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_non_finite_x0_rejected(self, x0):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            SimConfig(dt=1e-3, t_final=0.1, x0=x0)
+
     def test_record_size_limit(self):
         # round(t_final/dt) // record_stride + 1 rows, at most 10**7
         SimConfig(dt=1e-3, t_final=1e4 - 1e-3, x0=np.zeros(2))
