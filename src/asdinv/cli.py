@@ -84,6 +84,12 @@ def _apply_override(raw: dict, key: str, value: str) -> None:
     node[parts[-1]] = parsed
 
 
+def _known_fields(where: str, section: dict, known: tuple) -> None:
+    unknown = [k for k in section if k not in known]
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s) {unknown}, expected some of {list(known)}")
+
+
 def load_scenario(ref: str, overrides=()) -> Scenario:
     raw = _load_raw(ref)
     if not isinstance(raw, dict):
@@ -93,6 +99,8 @@ def load_scenario(ref: str, overrides=()) -> Scenario:
             raise ConfigError(f"--set needs key=value, got {ov!r}")
         key, value = ov.split("=", 1)
         _apply_override(raw, key, value)
+    _known_fields(f"scenario {ref!r}", raw, ("name", "plant", "design", "epsilon", "saturation",
+                                             "realization", "sim", "constants"))
     for fieldname in ("plant", "design", "epsilon", "saturation", "sim"):
         if fieldname not in raw:
             raise ConfigError(f"scenario {ref!r} is missing the {fieldname!r} field")
@@ -107,52 +115,39 @@ def load_scenario(ref: str, overrides=()) -> Scenario:
     return Scenario(name=name, raw=raw)
 
 
-def _synthetic_kwargs(cfg: dict) -> dict:
-    """Parameters of the synthetic plant family (synthetic, deadzone, delay)."""
-    S = cfg.get("S")
-    return dict(
-        g=float(cfg.get("g", 1.0)),
-        S=np.asarray(S, dtype=float) if S is not None else None,
-        d_amp=float(cfg.get("d_amp", 0.0)),
-        d_freq=float(cfg.get("d_freq", 1.0)),
-    )
+def _deadzone(mu, **kw) -> plants.UncertainPlant:
+    return plants.dead_zone(mu)(plants.synthetic_lti(**kw))
+
+
+def _quadrotor(J0_diag=(0.03, 0.03, 0.04), J_scale=1.0, **kw) -> plants.UncertainPlant:
+    J0 = np.diag(J0_diag)
+    return plants.quadrotor_attitude(plants.QuadrotorConfig(J0=J0, J_true=float(J_scale) * J0, **kw))
+
+
+# plant.kind -> factory; the rest of the plant section is its keyword arguments
+_PLANTS = {"hsu_siso": plants.hsu_siso, "f16_rollyaw": plants.f16_rollyaw, "quadrotor": _quadrotor,
+           "synthetic": plants.synthetic_lti, "deadzone": _deadzone, "delay": plants.delayed_input_lti}
 
 
 def build_plant(sc: Scenario) -> plants.UncertainPlant:
     cfg = dict(sc.raw["plant"])
     kind = cfg.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _PLANTS:
+        raise ConfigError(f"field 'plant.kind': unknown kind {kind!r}")
     try:
-        if kind == "hsu_siso":
-            return plants.hsu_siso()
-        if kind == "f16_rollyaw":
-            return plants.f16_rollyaw(f2_typo_fix=bool(cfg.get("f2_typo_fix", False)))
-        if kind == "quadrotor":
-            J0 = np.diag(cfg.get("J0_diag", [0.03, 0.03, 0.04]))
-            qc = plants.QuadrotorConfig(
-                omega=float(cfg.get("omega", 15.0)),
-                J0=J0,
-                J_true=float(cfg.get("J_scale", 1.0)) * J0,
-            )
-            return plants.quadrotor_attitude(qc)
-        if kind == "synthetic":
-            return plants.synthetic_lti(**_synthetic_kwargs(cfg))
-        if kind == "deadzone":
-            mu = float(cfg["mu"])
-            return plants.dead_zone(mu)(plants.synthetic_lti(**_synthetic_kwargs(cfg)))
-        if kind == "delay":
-            return plants.delayed_input_lti(tau=float(cfg["tau"]), **_synthetic_kwargs(cfg))
-    except (KeyError, TypeError, ValueError) as exc:
+        return _PLANTS[kind](**cfg)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad plant configuration for kind {kind!r}: {exc}") from exc
-    raise ConfigError(f"field 'plant.kind': unknown kind {kind!r}")
 
 
 def build_core(sc: Scenario, plant: plants.UncertainPlant) -> asd_design.LinearCore:
     design = sc.raw["design"]
+    _known_fields("field 'design'", design, ("K", "poles", "select"))
     if "select" not in design:
         raise ConfigError("field 'design.select' is required")
     K, poles = design.get("K"), design.get("poles")
-    if K is None and poles is None:
-        raise ConfigError("field 'design': one of 'K' or 'poles' is required")
+    if (K is None) == (poles is None):
+        raise ConfigError("field 'design': exactly one of 'K' or 'poles' is required")
     try:
         if K == "zero":
             K_or_poles = np.zeros((plant.n, plant.m))
@@ -166,6 +161,7 @@ def build_core(sc: Scenario, plant: plants.UncertainPlant) -> asd_design.LinearC
 
 def build_controller_spec(sc: Scenario, core) -> ControllerSpec:
     sat = sc.raw["saturation"]
+    _known_fields("field 'saturation'", sat, ("min", "max"))
     try:
         return ControllerSpec(
             core=core,
@@ -179,15 +175,9 @@ def build_controller_spec(sc: Scenario, core) -> ControllerSpec:
 
 
 def build_sim_config(sc: Scenario) -> sim.SimConfig:
-    s = sc.raw["sim"]
     try:
-        return sim.SimConfig(
-            dt=float(s["dt"]),
-            t_final=float(s["t_final"]),
-            x0=np.asarray(s["x0"], dtype=float),
-            record_stride=s.get("record_stride", 1),
-        )
-    except (KeyError, ValueError) as exc:
+        return sim.SimConfig(**sc.raw["sim"])
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'sim' section: {exc}") from exc
 
 
@@ -207,7 +197,10 @@ def _constants(sc: Scenario, plant) -> plants.AssumptionConstants:
 
 def _out_dir(args, sc: Scenario) -> Path:
     out = Path(args.out) / sc.name
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out!r} cannot hold the outputs: {exc}") from exc
     return out
 
 

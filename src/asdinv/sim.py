@@ -44,6 +44,8 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "t_final", float(self.t_final))
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         if not (0 < self.dt <= self.t_final):
             raise ValueError("need 0 < dt <= t_final")

@@ -188,9 +188,19 @@ class TestExitCodes:
         ("simulate", None, ["sim.t_finl=0.5"], EXIT_CONFIG, "config error:"),
         ("design", None, ["sim.dt=-1"], EXIT_CONFIG, "config error:"),
         ("bound", None, ["saturation.min=10"], EXIT_CONFIG, "config error:"),
+        ("design", lambda raw: raw["plant"].update(J_scale=1.3), [], EXIT_CONFIG, "config error:"),
+        ("design", lambda raw: raw["sim"].update(recordstride=10), [], EXIT_CONFIG, "config error:"),
+        ("design", lambda raw: raw["design"].update(Poles=[-1.0, -2.0, -3.0]), [], EXIT_CONFIG,
+         "config error:"),
+        ("design", lambda raw: raw["saturation"].update(mx=1.0), [], EXIT_CONFIG, "config error:"),
+        ("design", lambda raw: raw.update(realisation="observer"), [], EXIT_CONFIG, "config error:"),
+        ("design", lambda raw: raw["design"].update(K=[[-7.0], [-11.0], [-6.0]]), [], EXIT_CONFIG,
+         "config error:"),
     ], ids=["verify_diverges", "design_fault", "unknown_kind", "no_select", "no_gain",
             "bad_constants", "not_json", "unknown_field", "path_through_number",
-            "mistyped_leaf", "design_checks_sim", "bound_fault_before_constants"])
+            "mistyped_leaf", "design_checks_sim", "bound_fault_before_constants",
+            "unknown_plant_field", "unknown_sim_field", "unknown_design_field",
+            "unknown_saturation_field", "unknown_top_level_field", "both_K_and_poles"])
     def test_exit_path(self, tmp_path, capsys, command, edit, overrides, code, prefix):
         # edit is None for the bundled siso, a str for a file's text, or a
         # function that changes siso's raw scenario before it is written
@@ -210,6 +220,16 @@ class TestExitCodes:
         assert run(argv) == code
         assert capsys.readouterr().err.startswith(prefix)
         assert list(tmp_path.glob("out/*/*.json")) == []  # no verify.json on divergence
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        # every scenario of the batch is tried, and each is a config error
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = run(["design", "--scenario", "siso", "--scenario", "f16", "--out", str(afile)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[0] for line in err] == ["config error", "config error"]
+        assert all(repr(str(afile)) in line for line in err)
 
     def test_verify_divergence_names_its_run(self, tmp_path, capsys):
         # the scenario run and the unsaturated PI run finish; the observer run blows up

@@ -154,6 +154,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=1e-3, t_final=1.0, x0=np.zeros(2), record_stride=0)
 
+    def test_times_stored_as_float(self):
+        # a JSON integer such as --set sim.t_final=3 is recorded as 3.0
+        cfg = SimConfig(dt=1, t_final=3, x0=[0.0])
+        assert type(cfg.dt) is float and type(cfg.t_final) is float
+        assert (cfg.dt, cfg.t_final) == (1.0, 3.0)
+
     @pytest.mark.parametrize("x0", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
     def test_non_finite_x0_rejected(self, x0):
         with pytest.raises(ValueError, match="x0 must be finite"):
@@ -238,18 +244,27 @@ class TestSimulate:
             f[dt] = simulate(synthetic_plant, spec, cfg).x[-1]
         assert np.max(np.abs(f[1e-3] - f[5e-4])) < 1e-6
 
-    def test_rk4_order(self, synthetic_plant, synthetic_core):
-        # global error ratio between dt and dt/2 should sit near 2^4 = 16
-        spec = spec_for(synthetic_core, 0.05, -1000, 1000)
+    @pytest.mark.parametrize("plant, dts, band", [
+        (synthetic_lti(g=1.0, S=np.array([[0.05, 0.05]]), d_amp=0.1, d_freq=1.0),
+         (8e-3, 4e-3, 2e-3), (12.0, 20.0)),
+        # tau is a multiple of each dt; one RK4 step spans the jump of
+        # u(t - tau) at t = tau, so the delayed loop is first order (ratio 3)
+        (delayed_input_lti(0.05, g=1, S=[[0.05, 0.05]], d_amp=0.1, d_freq=1),
+         (2e-3, 1e-3, 5e-4), (2.7, 3.3)),
+    ], ids=["synthetic", "delay"])
+    def test_rk4_order(self, plant, dts, band):
+        # global error ratio between dt and dt/2 against dt/4: near 2^4 = 16 at fourth order
+        core = build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
+        spec = spec_for(core, 0.05, -1000, 1000)
         x0 = np.array([1.0, 0.0])
         finals = {}
-        for dt in (8e-3, 4e-3, 2e-3):
+        for dt in dts:
             cfg = SimConfig(dt=dt, t_final=2.0, x0=x0, record_stride=int(2.0 / dt))
-            finals[dt] = simulate(synthetic_plant, spec, cfg).x[-1]
-        e_coarse = np.linalg.norm(finals[8e-3] - finals[2e-3])
-        e_fine = np.linalg.norm(finals[4e-3] - finals[2e-3])
+            finals[dt] = simulate(plant, spec, cfg).x[-1]
+        e_coarse = np.linalg.norm(finals[dts[0]] - finals[dts[2]])
+        e_fine = np.linalg.norm(finals[dts[1]] - finals[dts[2]])
         ratio = e_coarse / e_fine
-        assert 12.0 <= ratio <= 20.0
+        assert band[0] <= ratio <= band[1]
 
     def test_decomposition_identity(self, siso_trace):
         y = siso_trace.y
