@@ -5,12 +5,15 @@ and the traced memory peak of one run.
     python3 scripts/step_cost.py [OTHER_SRC]
 
 Each scenario runs at sim.t_final=0.5, BLAS on one thread, minimum over
-interleaved repeats. Given a second checkout's src/, both copies of asdinv
-alternate in this process: columns parent (OTHER_SRC), change, parent/change.
-After the timed repeats, each side's "peak KiB" column is the tracemalloc
-peak of one simulate plus export_csv at the scenario's shipped horizon.
+interleaved repeats, twice: with its shipped realization ("shipped") and
+with the observer realization ("observer"). Given a second checkout's src/,
+both copies of asdinv alternate in this process: per kind, columns parent
+(OTHER_SRC), change, parent/change. After the timed repeats, each side's
+"peak KiB" column is the tracemalloc peak of one simulate plus export_csv
+of the shipped realization at the scenario's shipped horizon.
 """
 
+import dataclasses
 import os
 import sys
 import tempfile
@@ -22,10 +25,11 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 REPEATS = 25
+KINDS = ("shipped", "observer")
 
 
 def load_runs(src) -> dict:
-    """Build the runs of the asdinv in src (at t_final 0.5 and as shipped), then unimport it."""
+    """Build the runs of the asdinv in src (at t_final 0.5 per kind, and as shipped), then unimport it."""
     sys.path.insert(0, str(src))
     try:
         from asdinv import cli, sim
@@ -36,8 +40,10 @@ def load_runs(src) -> dict:
 
         runs = {}
         for name in cli.BUNDLED:
-            args = sim_args(cli.load_scenario(name, ("sim.t_final=0.5",)))
-            runs[name] = (sim, args, round(args[2].t_final / args[2].dt), sim_args(cli.load_scenario(name)))
+            plant, spec, cfg = sim_args(cli.load_scenario(name, ("sim.t_final=0.5",)))
+            observer = (plant, dataclasses.replace(spec, realization_kind="observer"), cfg)
+            kinds = dict(zip(KINDS, ((plant, spec, cfg), observer)))
+            runs[name] = (sim, kinds, round(cfg.t_final / cfg.dt), sim_args(cli.load_scenario(name)))
     finally:
         sys.path.pop(0)
         for mod in [k for k in sys.modules if k == "asdinv" or k.startswith("asdinv.")]:
@@ -59,26 +65,32 @@ def main() -> None:
     sides = {"change": load_runs(Path(__file__).resolve().parents[1] / "src")}
     if len(sys.argv) > 1:
         sides = {"parent": load_runs(sys.argv[1]), **sides}
-    best = {(side, name): float("inf") for side in sides for name in sides["change"]}
+    names = list(sides["change"])
+    best = {(side, name, kind): float("inf") for side in sides for name in names for kind in KINDS}
     for r in range(REPEATS):
-        for name in sides["change"]:
-            for side in (list(sides) if r % 2 else list(reversed(sides))):
-                sim, args, steps, _ = sides[side][name]
-                start = perf_counter()
-                sim.simulate(*args)
-                best[side, name] = min(best[side, name], (perf_counter() - start) / steps * 1e6)
+        for name in names:
+            for kind in KINDS:
+                for side in (list(sides) if r % 2 else list(reversed(sides))):
+                    sim, args, steps, _ = sides[side][name]
+                    start = perf_counter()
+                    sim.simulate(*args[kind])
+                    key = side, name, kind
+                    best[key] = min(best[key], (perf_counter() - start) / steps * 1e6)
     peak = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for side, name in best:
-            sim, _, _, shipped = sides[side][name]
-            peak[side, name] = peak_kib(sim, shipped, Path(tmp) / "trace.csv")
-    print(f"{'scenario':<18}" + "".join(f"{side:>9}" for side in sides) + "    ratio" * (len(sides) > 1)
+        for side in sides:
+            for name in names:
+                sim, _, _, shipped = sides[side][name]
+                peak[side, name] = peak_kib(sim, shipped, Path(tmp) / "trace.csv")
+    print(f"{'scenario':<18}" + "".join("".join(f"{side + ' ' + kind:>17}" for side in sides)
+                                        + "    ratio" * (len(sides) > 1) for kind in KINDS)
           + "".join(f"{side + ' peak KiB':>18}" for side in sides))
-    for name in sides["change"]:
-        row = [best[side, name] for side in sides]
-        ratio = f"    x{row[0] / row[1]:.2f}" if len(row) > 1 else ""
-        print(f"{name:<18}" + "".join(f"{v:9.1f}" for v in row) + ratio
-              + "".join(f"{peak[side, name]:18.0f}" for side in sides))
+    for name in names:
+        cells = ""
+        for kind in KINDS:
+            row = [best[side, name, kind] for side in sides]
+            cells += "".join(f"{v:17.1f}" for v in row) + (f"    x{row[0] / row[1]:.2f}" if len(row) > 1 else "")
+        print(f"{name:<18}" + cells + "".join(f"{peak[side, name]:18.0f}" for side in sides))
 
 
 if __name__ == "__main__":

@@ -120,6 +120,8 @@ def _deadzone(mu, **kw) -> plants.UncertainPlant:
 
 
 def _quadrotor(J0_diag=(0.03, 0.03, 0.04), J_scale=1.0, **kw) -> plants.UncertainPlant:
+    if isinstance(J_scale, (bool, np.bool_)):
+        raise ValueError(f"J_scale must be a number, not {J_scale!r}")
     J0 = np.diag(J0_diag)
     return plants.quadrotor_attitude(plants.QuadrotorConfig(J0=J0, J_true=float(J_scale) * J0, **kw))
 

@@ -13,8 +13,9 @@ F = [[-Lam, 0], [-I/eps, -I/eps]], Gx = [[0], [C^T/eps]], Gu = [[C^T B], [0]],
 H = -(C^T B)^-1 [-I/eps, Lam - I/eps], D = -(C^T B)^-1 C^T/eps.
 
 The quadruple gives the frequency response; the simulator runs
-`unsat_output` (H s + D x) and `derivative` (F s + Gx x + Gu u), which
-keep the textbook arithmetic of each form. Tests tie the two together.
+`unsat_output` (H s + D x) and `derivative` (F s + Gx x + Gu u) on
+v = `measure(x)`, x or C^T x, in the textbook arithmetic of each form.
+Tests tie the two together.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ class ControllerSpec:
 class _ControllerBase:
     """A realization (F, Gx, Gu, H, D) and its state, stepped on its own.
 
-    Subclasses set the quadruple and the input-side forms `_output(s, v)`
-    = u and `_deriv(s, v, u)` = s', where v is the signal the realization
-    reads: x for PI, y = C^T x for the observer.
+    Subclasses set the quadruple, `measure(x)` = v, the signal the
+    realization reads (x itself for PI, y = C^T x for the observer), and
+    the runtime maps on it: `unsat_output(s, v)` = u, `derivative(s, v, u)` = s'.
     """
 
     def __init__(self, spec: ControllerSpec):
@@ -99,8 +100,8 @@ class _ControllerBase:
         v = np.asarray(v, dtype=float)
         if not np.all(np.isfinite(v)):
             raise NonFiniteInput("controller input contains non-finite entries")
-        u = np.minimum(np.maximum(self._output(self.state, v), self.spec.u_min), self.spec.u_max)
-        f = lambda _t, s: self._deriv(s, v, u)
+        u = np.minimum(np.maximum(self.unsat_output(self.state, v), self.spec.u_min), self.spec.u_max)
+        f = lambda _t, s: self.derivative(s, v, u)
         self.state = rk4_step(f, 0.0, self.state, dt, f(0.0, self.state))
         return u
 
@@ -121,7 +122,7 @@ class PiController(_ControllerBase):
     def derivative(self, s: np.ndarray, x: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
         return self.Ki.dot(x)
 
-    _output, _deriv = unsat_output, derivative
+    measure = staticmethod(lambda x: x)  # PI reads x itself
     step_pi = _ControllerBase.step
 
 
@@ -137,6 +138,7 @@ class ObserverController(_ControllerBase):
         m, n, lam = core.m, core.n, core.lam_diag
         self.CtB = core.CtB
         self._Ct = core.C.T
+        self.measure = self._Ct.dot  # y = C^T x
         self._neg_CtB_inv = -np.linalg.inv(core.CtB)
         self._neg_lam = -lam
         self._lam_minus_inv_eps = lam - 1.0 / eps
@@ -148,17 +150,11 @@ class ObserverController(_ControllerBase):
         self.D = self._neg_CtB_inv @ self._Ct / eps
         super().__init__(spec)
 
-    def unsat_output(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._output(s, self._Ct.dot(x))
-
-    def _output(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def unsat_output(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
         m = self.m
         return self._neg_CtB_inv.dot((y - s[:m]) / self.eps + self._lam_minus_inv_eps * s[m:])
 
-    def derivative(self, s: np.ndarray, x: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
-        return self._deriv(s, self._Ct.dot(x), u_applied)
-
-    def _deriv(self, s: np.ndarray, y: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
+    def derivative(self, s: np.ndarray, y: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
         m = self.m
         yp, w = s[:m], s[m:]
         dyp = self._neg_lam * yp + self.CtB.dot(u_applied)

@@ -37,6 +37,13 @@ __all__ = [
 ]
 
 
+def _not_bool(**params) -> None:
+    """Raise ValueError if a numeric parameter is a bool: JSON true is not a number."""
+    for name, value in params.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class AssumptionConstants:
     """Known bounds on the uncertainty evaluators.
@@ -125,6 +132,8 @@ def f16_rollyaw(f2_typo_fix: bool = False) -> UncertainPlant:
     expected; the printed form is the default, f2_typo_fix=True swaps in
     delta_r.
     """
+    if not isinstance(f2_typo_fix, (bool, np.bool_)):
+        raise ValueError(f"f2_typo_fix must be true or false, not {f2_typo_fix!r}")
     A0 = np.array([
         [-0.3220, 0.064, 0.0364, -0.9917],
         [0.0, 0.0, 1.0, 0.0393],
@@ -186,6 +195,7 @@ class QuadrotorConfig:
         Jt = self.J_true
         Jt = J0.copy() if Jt is None else np.asarray(Jt, dtype=float)
         object.__setattr__(self, "J_true", Jt)
+        _not_bool(omega=self.omega)
         if not self.omega > 0:
             raise ValueError("actuator bandwidth must be positive")
         for name, J in (("J0", J0), ("J_true", Jt)):
@@ -238,6 +248,7 @@ def synthetic_lti(
     x' = [[0, 1], [0, 0]] x + [0, 1]^T (h + sigma), with h(t, u) = g u and
     sigma(t, x) = S x + d_amp sin(d_freq t); S is 1 x 2 (zero by default).
     """
+    _not_bool(g=g, d_amp=d_amp, d_freq=d_freq)
     if not g > 0:
         raise ValueError("input gain g must be positive")
     A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -268,6 +279,7 @@ def dead_zone(mu: float):
     Inputs with |u_i| < mu are zeroed before reaching the original h;
     equivalently h(t, u) = h0(t, u + delta(t)) with ||delta|| <= mu sqrt(m).
     """
+    _not_bool(mu=mu)
     if not mu > 0:
         raise ValueError("dead-zone width must be positive")
 
@@ -294,6 +306,7 @@ def delayed_input_lti(tau: float, **synthetic_kwargs) -> UncertainPlant:
     points. Used to demonstrate that an aggressive filter constant
     destabilizes a delayed loop while a conservative one stays bounded.
     """
+    _not_bool(tau=tau)
     if not tau > 0:
         raise ValueError("delay must be positive")
     base = synthetic_lti(**synthetic_kwargs)

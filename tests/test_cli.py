@@ -139,6 +139,23 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, override", [
+        ("synthetic", "plant.g=true"),
+        ("synthetic", "plant.d_amp=true"),
+        ("synthetic", "plant.d_freq=true"),
+        ("deadzone", "plant.mu=true"),
+        ("delay_demo", "plant.tau=true"),
+        ("quadrotor", "plant.omega=true"),
+        ("quadrotor_payload", "plant.J_scale=true"),
+        ("f16", 'plant.f2_typo_fix="false"'),
+        ("f16", "plant.f2_typo_fix=1"),
+    ])
+    def test_plant_field_of_wrong_type_is_config_error(self, tmp_path, capsys, scenario, override):
+        # JSON true is not a number, and only true or false is a flag
+        code = run(["design", "--scenario", scenario, "--set", override, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", ["plant=3", 'sim="x"', "saturation=5", "design=[1]"])
     def test_section_not_an_object_is_config_error(self, tmp_path, capsys, override):
         code = run(["simulate", "--scenario", "siso", "--set", override, "--out", str(tmp_path)])

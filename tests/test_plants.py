@@ -255,6 +255,32 @@ class TestNanParameters:
             ControllerSpec(synthetic_core, 0.1, u_min, u_max)
 
 
+class TestBoolParameters:
+    """A bool is not a number (JSON true reads as 1), and f2_typo_fix is only a bool."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: synthetic_lti(g=True),
+        lambda: synthetic_lti(d_amp=True),
+        lambda: synthetic_lti(d_freq=np.True_),
+        lambda: dead_zone(True),
+        lambda: delayed_input_lti(True),
+        lambda: QuadrotorConfig(omega=True),
+    ], ids=["synthetic_g", "synthetic_d_amp", "synthetic_d_freq", "dead_zone_mu", "delay_tau",
+            "quadrotor_omega"])
+    def test_bool_number_raises(self, make):
+        with pytest.raises(ValueError, match="must be a number"):
+            make()
+
+    @pytest.mark.parametrize("flag", ["false", 1, 0.0, None])
+    def test_f16_flag_must_be_bool(self, flag):
+        with pytest.raises(ValueError, match="f2_typo_fix must be true or false"):
+            f16_rollyaw(f2_typo_fix=flag)
+
+    def test_integer_number_and_numpy_bool_flag_stay_valid(self):
+        assert synthetic_lti(g=1).constants.l_hu_low == 1
+        assert f16_rollyaw(f2_typo_fix=np.True_).meta["f2_typo_fix"]
+
+
 class TestPlantInterface:
     def test_uncontrollable_pair_rejected(self):
         with pytest.raises(Uncontrollable):

@@ -373,12 +373,12 @@ class TestCallCounts:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = dict(h=0, sigma=0, unsat_output=0, derivative=0)
+        counts = dict(h=0, sigma=0, unsat_output=0, derivative=0, measure=0)
         make_controller = sim.make_controller
 
         def counted_controller(spec):
             ctrl = make_controller(spec)
-            for name in ("unsat_output", "derivative"):
+            for name in ("unsat_output", "derivative", "measure"):
                 def method(*args, _fn=getattr(ctrl, name), _name=name):
                     counts[_name] += 1
                     return _fn(*args)
@@ -408,6 +408,18 @@ class TestCallCounts:
         with pytest.raises(NonFiniteState) as exc:
             simulate(counting(plant, counts), spec_for(core, 2e-4, -1e15, 1e15), cfg)
         self.check(counts, round(exc.value.blowup_time / cfg.dt))
+
+    @pytest.mark.parametrize("case, stride", [("siso", 1), ("siso", 3), ("delay_tau_half_dt", 1),
+                                              ("delay_tau_half_dt", 3), ("diverging", None)])
+    def test_measure_once_per_stage(self, counts, case, stride):
+        # the observer's y = C^T x (PI's x) is read once per RK4 stage and once per step point;
+        # the runs are the two tests above, their checks included
+        if case == "diverging":
+            self.test_diverging_run(counts)
+        else:
+            self.test_normal_run(counts, case, stride)
+        steps = counts["derivative"] // 4  # check pins derivative at 4 calls a step
+        assert counts["measure"] <= 5 * steps + 1
 
 
 class TestStiffnessGuard:
