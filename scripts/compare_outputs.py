@@ -7,8 +7,9 @@ Runs design, simulate, verify and bound on the 7 bundled scenarios, once
 per checkout (OTHER_SRC, then this checkout's src/), each command as one
 subprocess `python -m asdinv.cli <cmd> --scenario <all 7> --out <tmp>/<side>/<cmd>`
 with PYTHONPATH set to that src and BLAS on one thread. Then runs each of
-EDGE_CASES (a stiff, a diverging and two rejected runs, and one with an
-integer t_final) as one subprocess.
+EDGE_CASES (a stiff, a diverging and two rejected runs, one with an
+integer t_final and one with an integer epsilon and saturation bounds) as
+one subprocess.
 Compares the exit codes, stdout, stderr and every output file, with each
 side's src and output paths replaced by placeholders, and each warning's
 `<file>:<line>:` location and the source line echoed below it scrubbed, so
@@ -32,6 +33,8 @@ EDGE_CASES = (
     ("design", "--scenario", "siso", "--set", "design.select=[-7]"),
     ("simulate", "--scenario", "siso", "--set", "epsilon=-1"),
     ("simulate", "--scenario", "synthetic", "--set", "sim.t_final=1"),
+    ("simulate", "--scenario", "siso", "--set", "epsilon=1", "--set", "saturation.min=-5",
+     "--set", "saturation.max=5", "--set", "sim.t_final=1"),
 )
 # "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
 WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)

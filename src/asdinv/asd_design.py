@@ -10,6 +10,7 @@ y = y_p + y_s along a trajectory is sim.decompose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +77,11 @@ class LinearCore:
     @property
     def lam_diag(self) -> np.ndarray:
         return np.diag(self.Lam)
+
+    @cached_property
+    def theorem1(self) -> StructureReport:
+        """verify_theorem1(self), computed once per core; build_core reads it first."""
+        return verify_theorem1(self)
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,7 @@ def build_core(
         raise LyapunovFailure(str(exc)) from exc
 
     core = LinearCore(n=n, m=m, A0=A0, B=B, K=K, A=A, C=C, Lam=Lam, P=P, M=M)
-    report = verify_theorem1(core)
+    report = core.theorem1
     if not report.checks["ctb_invertible"]:
         raise SingularCB(
             f"sigma_min(C^T B) <= {RANK_RTOL:.0e} ||C|| ||B||; "

@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, asd_design, plants, sim
 from .controller_rt import ControllerSpec, closed_realization, make_controller, pi_gains, x_to_u_response
 from .errors import AsdinvError, ConfigError, MissingConstants, NonFiniteState
-from .numlin import FREQ_ULPS, TRAJ_RTOL
+from .numlin import FREQ_ULPS, TRAJ_RTOL, as_float
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,9 +106,6 @@ def load_scenario(ref: str, overrides=()) -> Scenario:
             raise ConfigError(f"scenario {ref!r} is missing the {fieldname!r} field")
         if fieldname != "epsilon" and not isinstance(raw[fieldname], dict):
             raise ConfigError(f"field {fieldname!r} must be a JSON object")
-    eps = raw["epsilon"]
-    if isinstance(eps, bool) or not (isinstance(eps, (int, float)) and eps > 0):
-        raise ConfigError("field 'epsilon' must be a positive number")
     name = raw.get("name", Path(ref).stem)  # names the output directory <out>/<name>
     if not isinstance(name, str) or name in ("", ".", "..") or "\0" in name or Path(name).name != name:
         raise ConfigError(f"field 'name' must be one path component, not {name!r}")
@@ -120,10 +117,9 @@ def _deadzone(mu, **kw) -> plants.UncertainPlant:
 
 
 def _quadrotor(J0_diag=(0.03, 0.03, 0.04), J_scale=1.0, **kw) -> plants.UncertainPlant:
-    if isinstance(J_scale, (bool, np.bool_)):
-        raise ValueError(f"J_scale must be a number, not {J_scale!r}")
-    J0 = np.diag(J0_diag)
-    return plants.quadrotor_attitude(plants.QuadrotorConfig(J0=J0, J_true=float(J_scale) * J0, **kw))
+    J0 = np.diag(as_float(J0_diag, "J0_diag", array=True))
+    J_true = as_float(J_scale, "J_scale") * J0
+    return plants.quadrotor_attitude(plants.QuadrotorConfig(J0=J0, J_true=J_true, **kw))
 
 
 # plant.kind -> factory; the rest of the plant section is its keyword arguments
@@ -153,9 +149,11 @@ def build_core(sc: Scenario, plant: plants.UncertainPlant) -> asd_design.LinearC
     try:
         if K == "zero":
             K_or_poles = np.zeros((plant.n, plant.m))
+        elif K is None:
+            K_or_poles = as_float(poles, "design.poles", array=True)
         else:
-            K_or_poles = np.asarray(poles if K is None else K, dtype=float)
-        select = [float(v) for v in design["select"]]
+            K_or_poles = as_float(K, "design.K", array=True)
+        select = [as_float(v, "design.select") for v in design["select"]]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'design' section: {exc}") from exc
     return asd_design.build_core(plant.A0, plant.B, K_or_poles, select)
@@ -165,15 +163,10 @@ def build_controller_spec(sc: Scenario, core) -> ControllerSpec:
     sat = sc.raw["saturation"]
     _known_fields("field 'saturation'", sat, ("min", "max"))
     try:
-        return ControllerSpec(
-            core=core,
-            epsilon=float(sc.raw["epsilon"]),
-            u_min=np.asarray(sat["min"], dtype=float),
-            u_max=np.asarray(sat["max"], dtype=float),
-            realization_kind=sc.raw.get("realization", "pi_closed"),
-        )
+        return ControllerSpec(core=core, epsilon=sc.raw["epsilon"], u_min=sat["min"], u_max=sat["max"],
+                              realization_kind=sc.raw.get("realization", "pi_closed"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'saturation' or 'realization' field: {exc!r}") from exc
+        raise ConfigError(f"bad 'epsilon', 'saturation' or 'realization' field: {exc!r}") from exc
 
 
 def build_sim_config(sc: Scenario) -> sim.SimConfig:
@@ -220,7 +213,7 @@ def _json_default(obj):
 
 def cmd_design(sc: Scenario, plant, core, spec, cfg, args) -> int:
     Kp, Ki = pi_gains(core, spec.epsilon)
-    report = asd_design.verify_theorem1(core)
+    report = core.theorem1
     summary = {
         "scenario": sc.name,
         "K": core.K,
@@ -274,7 +267,7 @@ def cmd_verify(sc: Scenario, plant, core, spec, cfg, args) -> int:
     checks: dict[str, bool] = {}
     detail: dict[str, float] = {}
 
-    report = asd_design.verify_theorem1(core)
+    report = core.theorem1
     checks.update({f"theorem1.{k}": v for k, v in report.checks.items()})
     detail["theorem1_residual"] = report.theorem1_residual
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .asd_design import LinearCore, LtiRealization, ctb_invertible
 from .errors import NonFiniteInput, SingularCB
-from .numlin import rk4_step
+from .numlin import as_float, rk4_step
 
 __all__ = [
     "ControllerSpec",
@@ -64,10 +64,11 @@ class ControllerSpec:
     realization_kind: str = "pi_closed"  # a key of _REALIZATIONS
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", as_float(self.epsilon, "epsilon"))
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        u_min = np.broadcast_to(np.asarray(self.u_min, dtype=float), (self.core.m,)).copy()
-        u_max = np.broadcast_to(np.asarray(self.u_max, dtype=float), (self.core.m,)).copy()
+        u_min = np.broadcast_to(as_float(self.u_min, "u_min", array=True), (self.core.m,)).copy()
+        u_max = np.broadcast_to(as_float(self.u_max, "u_max", array=True), (self.core.m,)).copy()
         object.__setattr__(self, "u_min", u_min)
         object.__setattr__(self, "u_max", u_max)
         if not np.all(u_min < u_max):

@@ -31,6 +31,7 @@ from .errors import (
 
 __all__ = [
     "EigenPair",
+    "as_float",
     "real_eig",
     "solve_lyapunov",
     "controllability_rank",
@@ -71,6 +72,21 @@ def _require_finite(M: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise DimensionMismatch(f"{name} contains non-finite entries")
     return M
+
+
+def as_float(value, name: str, array: bool = False):
+    """value as a Python float, or with array=True as a float ndarray of its shape.
+
+    Raises ValueError("<name> must be a number, not ...") unless each entry is
+    a Python or numpy int or float, and without array=True unless value is a
+    scalar. A bool is not a number here, although Python reads JSON true as 1.
+    """
+    entries = np.asarray(value, dtype=object)
+    if (entries.ndim and not array) or not all(
+            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            for v in entries.flat):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return np.asarray(value, dtype=float) if array else float(value)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

@@ -16,13 +16,13 @@ which on one sample are x and u, so one sample costs the scalar arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import SingularInertia, Uncontrollable
-from .numlin import controllability_rank
+from .numlin import as_float, controllability_rank
 
 __all__ = [
     "AssumptionConstants",
@@ -35,13 +35,6 @@ __all__ = [
     "dead_zone",
     "delayed_input_lti",
 ]
-
-
-def _not_bool(**params) -> None:
-    """Raise ValueError if a numeric parameter is a bool: JSON true is not a number."""
-    for name, value in params.items():
-        if isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a number, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +56,8 @@ class AssumptionConstants:
     d_sigma: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_float(getattr(self, f.name), f.name))
         if not self.l_hu_low > 0:
             raise ValueError("l_hu_low must be positive")
         if not self.l_hu_low <= self.l_hu_high:
@@ -190,12 +185,11 @@ class QuadrotorConfig:
     J_true: Optional[np.ndarray] = None  # defaults to J0 (no uncertainty)
 
     def __post_init__(self):
-        J0 = np.asarray(self.J0, dtype=float)
+        J0 = as_float(self.J0, "J0", array=True)
         object.__setattr__(self, "J0", J0)
-        Jt = self.J_true
-        Jt = J0.copy() if Jt is None else np.asarray(Jt, dtype=float)
+        Jt = J0.copy() if self.J_true is None else as_float(self.J_true, "J_true", array=True)
         object.__setattr__(self, "J_true", Jt)
-        _not_bool(omega=self.omega)
+        object.__setattr__(self, "omega", as_float(self.omega, "omega"))
         if not self.omega > 0:
             raise ValueError("actuator bandwidth must be positive")
         for name, J in (("J0", J0), ("J_true", Jt)):
@@ -248,12 +242,12 @@ def synthetic_lti(
     x' = [[0, 1], [0, 0]] x + [0, 1]^T (h + sigma), with h(t, u) = g u and
     sigma(t, x) = S x + d_amp sin(d_freq t); S is 1 x 2 (zero by default).
     """
-    _not_bool(g=g, d_amp=d_amp, d_freq=d_freq)
+    g, d_amp, d_freq = as_float(g, "g"), as_float(d_amp, "d_amp"), as_float(d_freq, "d_freq")
     if not g > 0:
         raise ValueError("input gain g must be positive")
     A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0], [1.0]])
-    S = np.zeros((1, 2)) if S is None else np.asarray(S, dtype=float).reshape(1, 2)
+    S = np.zeros((1, 2)) if S is None else as_float(S, "S", array=True).reshape(1, 2)
 
     s_norm = float(np.linalg.norm(S, 2))
     consts = AssumptionConstants(
@@ -279,7 +273,7 @@ def dead_zone(mu: float):
     Inputs with |u_i| < mu are zeroed before reaching the original h;
     equivalently h(t, u) = h0(t, u + delta(t)) with ||delta|| <= mu sqrt(m).
     """
-    _not_bool(mu=mu)
+    mu = as_float(mu, "mu")
     if not mu > 0:
         raise ValueError("dead-zone width must be positive")
 
@@ -306,7 +300,7 @@ def delayed_input_lti(tau: float, **synthetic_kwargs) -> UncertainPlant:
     points. Used to demonstrate that an aggressive filter constant
     destabilizes a delayed loop while a conservative one stays bounded.
     """
-    _not_bool(tau=tau)
+    tau = as_float(tau, "tau")
     if not tau > 0:
         raise ValueError("delay must be positive")
     base = synthetic_lti(**synthetic_kwargs)

@@ -24,7 +24,7 @@ import numpy as np
 from .asd_design import LinearCore
 from .controller_rt import ControllerSpec, closed_realization, make_controller
 from .errors import EmptyTrace, NonFiniteState, UnknownUncertainty
-from .numlin import STIFF_DT_RHO, rk4_step
+from .numlin import STIFF_DT_RHO, as_float, rk4_step
 from .plants import UncertainPlant
 
 __all__ = ["SimConfig", "Trace", "Metrics", "simulate", "decompose", "energy_index", "metrics",
@@ -44,9 +44,9 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t_final", float(self.t_final))
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        object.__setattr__(self, "dt", as_float(self.dt, "dt"))
+        object.__setattr__(self, "t_final", as_float(self.t_final, "t_final"))
+        object.__setattr__(self, "x0", as_float(self.x0, "x0", array=True))
         if not (0 < self.dt <= self.t_final):
             raise ValueError("need 0 < dt <= t_final")
         if not np.all(np.isfinite(self.x0)):

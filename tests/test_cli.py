@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import asdinv
+from asdinv import asd_design
 from asdinv.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
@@ -155,6 +156,45 @@ class TestExitCodes:
         code = run(["design", "--scenario", scenario, "--set", override, "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, override, field", [
+        ("siso", "sim.dt=true", "dt"),
+        ("siso", "sim.t_final=true", "t_final"),
+        ("siso", "sim.x0=[true,0,0]", "x0"),
+        ("siso", "saturation.min=false", "u_min"),
+        ("siso", "saturation.max=true", "u_max"),
+        ("synthetic", "plant.S=[[true,false]]", "S"),
+        ("quadrotor", "plant.J0_diag=[true,true,true]", "J0_diag"),
+        ("siso", "design.poles=[-1,-2,true]", "design.poles"),
+    ])
+    def test_bool_in_number_field_is_config_error(self, tmp_path, capsys, scenario, override, field):
+        # JSON true/false reads as 1/0 in Python; outside f2_typo_fix it is not a number
+        code = run(["design", "--scenario", scenario, "--set", override, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"{field} must be a number" in err
+
+    @pytest.mark.parametrize("scenario, override, recorded", [
+        ("f16", "plant.f2_typo_fix=true", None),
+        ("siso", "epsilon=1", '"epsilon": 1.0,'),
+        ("siso", "sim.t_final=1", '"t_final": 1.0,'),
+    ])
+    def test_integer_number_and_bool_flag_stay_valid(self, tmp_path, scenario, override, recorded):
+        argv = ["simulate", "--scenario", scenario, "--set", "sim.t_final=0.2", "--set", override,
+                "--out", str(tmp_path)]
+        assert run(argv) == EXIT_OK
+        if recorded:
+            assert recorded in (tmp_path / scenario / "summary.json").read_text()
+
+    @pytest.mark.parametrize("command", ["design", "verify"])
+    def test_theorem1_verified_once(self, tmp_path, monkeypatch, command):
+        calls = []
+        verify = asd_design.verify_theorem1
+        monkeypatch.setattr(asd_design, "verify_theorem1", lambda core: calls.append(1) or verify(core))
+        argv = [command, "--scenario", "siso", "--set", "sim.t_final=0.2", "--out", str(tmp_path)]
+        assert run(argv) == EXIT_OK
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("override", ["plant=3", 'sim="x"', "saturation=5", "design=[1]"])
     def test_section_not_an_object_is_config_error(self, tmp_path, capsys, override):

@@ -19,7 +19,7 @@ from asdinv import (
     real_eig,
     solve_lyapunov,
 )
-from asdinv.numlin import _diagonal_blocks, rk4_step
+from asdinv.numlin import _diagonal_blocks, as_float, rk4_step
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,6 +310,17 @@ def test_public_api_declared_once():
              if not name.startswith("_") and not inspect.ismodule(obj) and name not in declared
              and not (inspect.isclass(obj) and obj.__module__ == errors.__name__)]
     assert not stray, stray
+
+
+def test_as_float_converts_numbers_only():
+    assert type(as_float(2, "a")) is float and as_float(np.float32(0.5), "a") == 0.5
+    got = as_float([[1, 2.5]], "a", array=True)
+    assert got.dtype == float and got.tolist() == [[1.0, 2.5]]
+    assert as_float(3, "a", array=True).shape == ()
+    for value, array in [(True, False), (np.False_, False), ([1, True], True), (np.eye(2, dtype=bool), True),
+                         ("2", False), (None, False), ([1.0], False), ([[1, 2], [3]], True)]:
+        with pytest.raises(ValueError, match="a must be a number"):
+            as_float(value, "a", array=array)
 
 
 @pytest.mark.parametrize("z", [0.0, -0.25, -1.0, -2.0, -2.7])

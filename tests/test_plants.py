@@ -10,9 +10,11 @@ from asdinv import (
     AssumptionConstants,
     ControllerSpec,
     QuadrotorConfig,
+    SimConfig,
     SingularInertia,
     Uncontrollable,
     UncertainPlant,
+    build_core,
     controllability_rank,
     dead_zone,
     delayed_input_lti,
@@ -255,6 +257,11 @@ class TestNanParameters:
             ControllerSpec(synthetic_core, 0.1, u_min, u_max)
 
 
+def _synthetic_core():
+    plant = synthetic_lti()
+    return build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
+
+
 class TestBoolParameters:
     """A bool is not a number (JSON true reads as 1), and f2_typo_fix is only a bool."""
 
@@ -265,8 +272,14 @@ class TestBoolParameters:
         lambda: dead_zone(True),
         lambda: delayed_input_lti(True),
         lambda: QuadrotorConfig(omega=True),
+        lambda: SimConfig(dt=True, t_final=1.0, x0=[0.0, 0.0]),
+        lambda: ControllerSpec(_synthetic_core(), 0.1, -1.0, True),
+        lambda: synthetic_lti(S=[[True, False]]),
+        lambda: QuadrotorConfig(J0=np.eye(3, dtype=bool)),
+        lambda: AssumptionConstants(l_ht=True),
     ], ids=["synthetic_g", "synthetic_d_amp", "synthetic_d_freq", "dead_zone_mu", "delay_tau",
-            "quadrotor_omega"])
+            "quadrotor_omega", "sim_dt", "controller_u_max", "synthetic_S", "quadrotor_J0",
+            "constants_l_ht"])
     def test_bool_number_raises(self, make):
         with pytest.raises(ValueError, match="must be a number"):
             make()
