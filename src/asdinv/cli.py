@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, asd_design, plants, sim
 from .controller_rt import ControllerSpec, closed_realization, make_controller, pi_gains, x_to_u_response
-from .errors import AsdinvError, ConfigError, MissingConstants, NonFiniteState
+from .errors import AsdinvError, ConfigError, MissingConstants, NonFiniteState, SingularInertia
 from .numlin import FREQ_ULPS, TRAJ_RTOL, as_float
 
 EXIT_OK = 0
@@ -39,10 +39,6 @@ class Scenario:
     raw: dict
 
 
-def _finite_only(token: str):
-    raise ConfigError(f"{token} in scenario: scenario numbers must be finite")
-
-
 def _load_raw(ref: str) -> dict:
     path = Path(ref)
     try:
@@ -52,7 +48,7 @@ def _load_raw(ref: str) -> dict:
             text = resources.files("asdinv.scenarios").joinpath(f"{ref}.json").read_text()
         else:
             raise ConfigError(f"unknown scenario {ref!r}: not a bundled name {BUNDLED} or a .json path")
-        return json.loads(text, parse_constant=_finite_only)
+        return json.loads(text)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"scenario {ref!r} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -61,7 +57,7 @@ def _load_raw(ref: str) -> dict:
 
 def _apply_override(raw: dict, key: str, value: str) -> None:
     try:
-        parsed = json.loads(value, parse_constant=_finite_only)
+        parsed = json.loads(value)
     except json.JSONDecodeError:
         parsed = value
     parts = key.split(".")
@@ -134,7 +130,7 @@ def build_plant(sc: Scenario) -> plants.UncertainPlant:
         raise ConfigError(f"field 'plant.kind': unknown kind {kind!r}")
     try:
         return _PLANTS[kind](**cfg)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, SingularInertia) as exc:
         raise ConfigError(f"bad plant configuration for kind {kind!r}: {exc}") from exc
 
 

@@ -80,13 +80,20 @@ def as_float(value, name: str, array: bool = False):
     Raises ValueError("<name> must be a number, not ...") unless each entry is
     a Python or numpy int or float, and without array=True unless value is a
     scalar. A bool is not a number here, although Python reads JSON true as 1.
+    A NaN, +-inf or int past the float range raises "<name> must be finite".
     """
     entries = np.asarray(value, dtype=object)
     if (entries.ndim and not array) or not all(
             isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
             for v in entries.flat):
         raise ValueError(f"{name} must be a number, not {value!r}")
-    return np.asarray(value, dtype=float) if array else float(value)
+    try:
+        converted = np.asarray(value, dtype=float) if array else float(value)
+    except OverflowError:
+        converted = np.inf
+    if not np.all(np.isfinite(converted)):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    return converted
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

@@ -63,9 +63,8 @@ class AssumptionConstants:
         if not self.l_hu_low <= self.l_hu_high:
             raise ValueError("l_hu_low must not exceed l_hu_high")
         for name in ("l_ht", "k_sigma", "delta_sigma", "l_sigma_x", "l_sigma_t", "d_sigma"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be a finite nonnegative real")
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,6 @@ class SimConfig:
         object.__setattr__(self, "x0", as_float(self.x0, "x0", array=True))
         if not (0 < self.dt <= self.t_final):
             raise ValueError("need 0 < dt <= t_final")
-        if not np.all(np.isfinite(self.x0)):
-            raise ValueError("x0 must be finite")
         stride = self.record_stride
         if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
             raise ValueError("record_stride must be a positive integer")

@@ -133,9 +133,13 @@ class TestExitCodes:
         "saturation.max=Infinity",
         "sim.record_stride=2.7",
         "sim.record_stride=true",
+        "epsilon=1e999",
+        "saturation.max=1e999",
+        "sim.dt=1" + "0" * 400,
+        "design.poles=[-1,-2,-1e999]",
     ])
     def test_non_finite_or_fractional_number_is_config_error(self, tmp_path, capsys, override):
-        # json.loads reads NaN and +-Infinity unless told otherwise
+        # json.loads reads NaN, +-Infinity and 1e999 as floats, and 1 followed by 400 zeros as an int
         code = run(["simulate", "--scenario", "siso", "--set", override, "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
@@ -150,9 +154,16 @@ class TestExitCodes:
         ("quadrotor_payload", "plant.J_scale=true"),
         ("f16", 'plant.f2_typo_fix="false"'),
         ("f16", "plant.f2_typo_fix=1"),
+        ("deadzone", "plant.mu=1e999"),
+        ("delay_demo", "plant.tau=1e999"),
+        ("synthetic", "plant.g=1e999"),
+        ("quadrotor", "plant.omega=1e999"),
+        ("quadrotor", "plant.J0_diag=[0.03,0.03]"),
+        ("quadrotor_payload", "plant.J_scale=-1"),
     ])
     def test_plant_field_of_wrong_type_is_config_error(self, tmp_path, capsys, scenario, override):
-        # JSON true is not a number, and only true or false is a flag
+        # JSON true is not a number, 1e999 is not finite, only true or false is
+        # a flag, and an inertia must be 3x3 symmetric positive definite
         code = run(["design", "--scenario", scenario, "--set", override, "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err

@@ -321,6 +321,11 @@ def test_as_float_converts_numbers_only():
                          ("2", False), (None, False), ([1.0], False), ([[1, 2], [3]], True)]:
         with pytest.raises(ValueError, match="a must be a number"):
             as_float(value, "a", array=array)
+    # NaN, +-inf and an int past the float range (float() raises OverflowError)
+    for value, array in [(np.nan, False), (np.inf, False), (-np.inf, False), (10**400, False),
+                         ([1.0, np.inf], True), ([[10**400]], True)]:
+        with pytest.raises(ValueError, match="a must be finite"):
+            as_float(value, "a", array=array)
 
 
 @pytest.mark.parametrize("z", [0.0, -0.25, -1.0, -2.0, -2.7])

@@ -225,6 +225,7 @@ class TestWrappers:
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def _eta_at(core, epsilon):
@@ -233,28 +234,50 @@ def _eta_at(core, epsilon):
 
 
 class TestNanParameters:
-    """NaN fails every positive-parameter check (a `<= 0` test would let it through)."""
+    """A non-finite number fails as_float in the constructor that owns it,
+    before any range check; NaN fails the positive check of pi_gains and
+    eta (a `<= 0` test would let it through)."""
 
-    @pytest.mark.parametrize("make", [
-        lambda core: delayed_input_lti(NAN),
-        lambda core: synthetic_lti(g=NAN),
-        lambda core: dead_zone(NAN),
-        lambda core: QuadrotorConfig(omega=NAN),
-        lambda core: AssumptionConstants(l_hu_low=NAN),
-        lambda core: AssumptionConstants(l_hu_high=NAN),
-        lambda core: ControllerSpec(core, NAN, -1.0, 1.0),
-        lambda core: pi_gains(core, NAN),
-        lambda core: _eta_at(core, NAN),
+    @pytest.mark.parametrize("make, message", [
+        (lambda core: delayed_input_lti(NAN), "^tau must be finite, not nan$"),
+        (lambda core: synthetic_lti(g=NAN), "^g must be finite, not nan$"),
+        (lambda core: dead_zone(NAN), "^mu must be finite, not nan$"),
+        (lambda core: QuadrotorConfig(omega=NAN), "^omega must be finite, not nan$"),
+        (lambda core: AssumptionConstants(l_hu_low=NAN), "^l_hu_low must be finite, not nan$"),
+        (lambda core: AssumptionConstants(l_hu_high=NAN), "^l_hu_high must be finite, not nan$"),
+        (lambda core: ControllerSpec(core, NAN, -1.0, 1.0), "^epsilon must be finite, not nan$"),
+        (lambda core: pi_gains(core, NAN), "positive"),
+        (lambda core: _eta_at(core, NAN), "positive"),
     ], ids=["delay_tau", "synthetic_g", "dead_zone_mu", "quadrotor_omega", "l_hu_low",
             "l_hu_high", "controller_epsilon", "pi_gains_epsilon", "eta_epsilon"])
-    def test_nan_raises(self, synthetic_core, make):
-        with pytest.raises(ValueError, match="positive|not exceed"):
+    def test_nan_raises(self, synthetic_core, make, message):
+        with pytest.raises(ValueError, match=message):
             make(synthetic_core)
 
-    @pytest.mark.parametrize("u_min, u_max", [([NAN], [1.0]), ([0.0], [NAN])], ids=["u_min", "u_max"])
-    def test_nan_bound_raises(self, synthetic_core, u_min, u_max):
-        with pytest.raises(ValueError, match="u_min must be below u_max"):
+    @pytest.mark.parametrize("u_min, u_max, message", [
+        ([NAN], [1.0], r"^u_min must be finite, not \[nan\]$"),
+        ([0.0], [NAN], r"^u_max must be finite, not \[nan\]$"),
+    ], ids=["u_min", "u_max"])
+    def test_nan_bound_raises(self, synthetic_core, u_min, u_max, message):
+        with pytest.raises(ValueError, match=message):
             ControllerSpec(synthetic_core, 0.1, u_min, u_max)
+
+    @pytest.mark.parametrize("value", [INF, -INF], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("make, name", [
+        (lambda core, v: delayed_input_lti(v), "tau"),
+        (lambda core, v: synthetic_lti(g=v), "g"),
+        (lambda core, v: dead_zone(v), "mu"),
+        (lambda core, v: QuadrotorConfig(omega=v), "omega"),
+        (lambda core, v: AssumptionConstants(l_hu_low=v), "l_hu_low"),
+        (lambda core, v: AssumptionConstants(l_hu_high=v), "l_hu_high"),
+        (lambda core, v: ControllerSpec(core, v, -1.0, 1.0), "epsilon"),
+        (lambda core, v: ControllerSpec(core, 0.1, v, 1.0), "u_min"),
+        (lambda core, v: ControllerSpec(core, 0.1, 0.0, v), "u_max"),
+    ], ids=["delay_tau", "synthetic_g", "dead_zone_mu", "quadrotor_omega", "l_hu_low",
+            "l_hu_high", "controller_epsilon", "u_min", "u_max"])
+    def test_infinite_raises(self, synthetic_core, make, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, not {value!r}$"):
+            make(synthetic_core, value)
 
 
 def _synthetic_core():
