@@ -7,10 +7,11 @@ Runs design, simulate, verify and bound on the 7 bundled scenarios, once
 per checkout (OTHER_SRC, then this checkout's src/), each command as one
 subprocess `python -m asdinv.cli <cmd> --scenario <all 7> --out <tmp>/<side>/<cmd>`
 with PYTHONPATH set to that src and BLAS on one thread. Then runs each of
-the 8 EDGE_CASES as one subprocess: a stiff verify that diverges, a
+the 10 EDGE_CASES as one subprocess: a stiff verify that diverges, a
 diverging simulate, a design fault, a rejected epsilon, an integer t_final,
 an integer epsilon and saturation bounds, an epsilon that overflows a
-float (1e999) and a 2x2 quadrotor inertia.
+float (1e999), a 2x2 quadrotor inertia, a flat quadrotor K and a
+design.select that is not a list.
 Compares the exit codes, stdout, stderr and every output file, with each
 side's src and output paths replaced by placeholders, and each warning's
 `<file>:<line>:` location and the source line echoed below it scrubbed, so
@@ -38,6 +39,8 @@ EDGE_CASES = (
      "--set", "saturation.max=5", "--set", "sim.t_final=1"),
     ("design", "--scenario", "siso", "--set", "epsilon=1e999"),
     ("design", "--scenario", "quadrotor", "--set", "plant.J0_diag=[0.03,0.03]"),
+    ("design", "--scenario", "quadrotor", "--set", "design.K=[0,0,0,0,0,0,0,0,0]"),
+    ("design", "--scenario", "siso", "--set", "design.select=1"),
 )
 # "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
 WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)

@@ -62,13 +62,14 @@ def eta(
     consts: AssumptionConstants,
     P: np.ndarray,
 ) -> float:
-    """Exponential decay rate of the Lyapunov function; positive iff
-    epsilon is inside the admissible range."""
-    if not epsilon > 0:
+    """Exponential decay rate of the Lyapunov function; positive iff epsilon
+    is inside the admissible range. An array of epsilon gives one rate each."""
+    epsilon = np.asarray(epsilon, dtype=float)
+    if not np.all(epsilon > 0):
         raise ValueError("epsilon must be positive")
     first = g0 / (2.0 * float(np.max(np.linalg.eigvalsh(P))))
     second = consts.l_hu_low / epsilon - g1 - (2.0 / g0) * (g2 + consts.l_sigma_t) ** 2
-    return min(first, second)
+    return np.minimum(first, second)
 
 
 def ultimate_bound(
@@ -133,7 +134,7 @@ def bound_report(
     eps_max = epsilon_bound(g0, g1, g2, consts)
     hi = eps_max if math.isfinite(eps_max) else 1.0
     grid = np.logspace(np.log10(hi * 1e-3), np.log10(hi), 25)
-    eta_grid = np.array([eta(e, g0, g1, g2, consts, core.P) for e in grid])
+    eta_grid = eta(grid, g0, g1, g2, consts, core.P)
 
     ua = us = None
     if epsilon is not None:

@@ -70,9 +70,16 @@ class LinearCore:
     P: np.ndarray
     M: np.ndarray
 
-    @property
+    @cached_property
     def CtB(self) -> np.ndarray:
         return self.C.T @ self.B
+
+    @cached_property
+    def CtB_inv(self) -> np.ndarray:
+        """(C^T B)^-1, once per core; SingularCB unless theorem1 finds C^T B invertible."""
+        if not self.theorem1.checks["ctb_invertible"]:
+            raise SingularCB("C^T B is numerically singular")
+        return np.linalg.inv(self.CtB)
 
     @property
     def lam_diag(self) -> np.ndarray:

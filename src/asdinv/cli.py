@@ -134,6 +134,15 @@ def build_plant(sc: Scenario) -> plants.UncertainPlant:
         raise ConfigError(f"bad plant configuration for kind {kind!r}: {exc}") from exc
 
 
+def _design_array(design: dict, key: str, form: str) -> np.ndarray:
+    """design[key] as floats; K must be 2-D and poles or select 1-D, so a
+    flat K is never read as poles, nor a column of poles as a gain."""
+    value = as_float(design[key], f"design.{key}", array=True)
+    if value.ndim != (2 if key == "K" else 1):
+        raise ConfigError(f"field 'design.{key}' must be {form}, got shape {value.shape}")
+    return value
+
+
 def build_core(sc: Scenario, plant: plants.UncertainPlant) -> asd_design.LinearCore:
     design = sc.raw["design"]
     _known_fields("field 'design'", design, ("K", "poles", "select"))
@@ -146,10 +155,10 @@ def build_core(sc: Scenario, plant: plants.UncertainPlant) -> asd_design.LinearC
         if K == "zero":
             K_or_poles = np.zeros((plant.n, plant.m))
         elif K is None:
-            K_or_poles = as_float(poles, "design.poles", array=True)
+            K_or_poles = _design_array(design, "poles", f"a flat list of {plant.n} poles")
         else:
-            K_or_poles = as_float(K, "design.K", array=True)
-        select = [as_float(v, "design.select") for v in design["select"]]
+            K_or_poles = _design_array(design, "K", f'a {plant.n}x{plant.m} nested list or "zero"')
+        select = _design_array(design, "select", f"a flat list of {plant.m} eigenvalues")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'design' section: {exc}") from exc
     return asd_design.build_core(plant.A0, plant.B, K_or_poles, select)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asd_design import LinearCore, LtiRealization, ctb_invertible
-from .errors import NonFiniteInput, SingularCB
+from .asd_design import LinearCore, LtiRealization
+from .errors import NonFiniteInput
 from .numlin import as_float, rk4_step
 
 __all__ = [
@@ -39,19 +39,12 @@ __all__ = [
 ]
 
 
-def _require_invertible_ctb(core: LinearCore) -> None:
-    if not ctb_invertible(core.C, core.B):
-        raise SingularCB("C^T B is numerically singular")
-
-
 def pi_gains(core: LinearCore, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Proportional and integral gains of the closed realization."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    _require_invertible_ctb(core)
-    CtB_inv = np.linalg.inv(core.CtB)
-    Kp = (1.0 / epsilon) * CtB_inv @ core.C.T
-    Ki = (1.0 / epsilon) * CtB_inv @ core.Lam @ core.C.T
+    Kp = (1.0 / epsilon) * core.CtB_inv @ core.C.T
+    Ki = (1.0 / epsilon) * core.CtB_inv @ core.Lam @ core.C.T
     return Kp, Ki
 
 
@@ -135,12 +128,11 @@ class ObserverController(_ControllerBase):
 
     def __init__(self, spec: ControllerSpec):
         core, eps = spec.core, spec.epsilon
-        _require_invertible_ctb(core)
         m, n, lam = core.m, core.n, core.lam_diag
         self.CtB = core.CtB
         self._Ct = core.C.T
         self.measure = self._Ct.dot  # y = C^T x
-        self._neg_CtB_inv = -np.linalg.inv(core.CtB)
+        self._neg_CtB_inv = -core.CtB_inv
         self._neg_lam = -lam
         self._lam_minus_inv_eps = lam - 1.0 / eps
         I, Z = np.eye(m), np.zeros((m, m))

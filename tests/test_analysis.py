@@ -105,6 +105,17 @@ class TestEta:
         with pytest.raises(ValueError):
             eta(0.0, g0, g1, g2, c, synthetic_core.P)
 
+    def test_array_equals_one_call_per_epsilon(self, synthetic_core, synthetic_plant):
+        # 25 points across eps_max, where eta changes sign
+        core, c = synthetic_core, synthetic_plant.constants
+        g0, g1, g2 = gammas(core, c)
+        grid = epsilon_bound(g0, g1, g2, c) * np.logspace(-3, 1, 25)
+        got = eta(grid, g0, g1, g2, c, core.P)
+        assert np.array_equal(got, [eta(e, g0, g1, g2, c, core.P) for e in grid])
+        assert np.any(got > 0) and np.any(got < 0)
+        with pytest.raises(ValueError):
+            eta(np.append(grid, 0.0), g0, g1, g2, c, core.P)
+
 
 class TestUltimateBound:
     def test_closed_form(self):

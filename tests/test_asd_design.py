@@ -1,6 +1,8 @@
 """Design layer: closed skeleton, output redefinition, transfer-path
 realization, structural verification, and the additive output split."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from asdinv import (
     build_core,
     decompose,
     delayed_input_lti,
+    make_controller,
+    pi_gains,
     simulate,
     verify_theorem1,
 )
@@ -239,6 +243,27 @@ class TestVerify:
         core = build_core(A0, b, poles, [poles[0]])
         rep = verify_theorem1(core)
         assert rep.all_pass
+
+
+class TestCtbOnce:
+    def test_ctb_and_inverse_are_computed_once(self, f16_plant):
+        core = build_core(f16_plant.A0, f16_plant.B, F16_K, [-1.0, -2.0])
+        assert core.CtB is core.CtB and core.CtB_inv is core.CtB_inv
+        assert np.array_equal(core.CtB, core.C.T @ core.B)
+        assert np.array_equal(core.CtB_inv, np.linalg.inv(core.C.T @ core.B))
+
+    def test_singular_ctb_raises_from_every_controller(self, siso_core):
+        # b is siso's B with its component along C removed, so C^T b = 0
+        b = siso_core.B - siso_core.C @ (siso_core.C.T @ siso_core.B)
+        core = dataclasses.replace(siso_core, B=b)
+        assert not core.theorem1.checks["ctb_invertible"]
+        with pytest.raises(SingularCB, match=r"^C\^T B is numerically singular$"):
+            core.CtB_inv
+        with pytest.raises(SingularCB):
+            pi_gains(core, 0.1)
+        for kind in ("pi_closed", "observer"):
+            with pytest.raises(SingularCB):
+                make_controller(ControllerSpec(core, 0.1, -5.0, 5.0, realization_kind=kind))
 
 
 class TestCtbScale:

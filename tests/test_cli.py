@@ -186,6 +186,26 @@ class TestExitCodes:
         assert err.startswith("config error:")
         assert f"{field} must be a number" in err
 
+    @pytest.mark.parametrize("scenario, override, message", [
+        ("synthetic", 'design={"K": [-1.0, -2.0], "select": [-1.0]}',
+         "field 'design.K' must be a 2x1 nested list"),
+        ("synthetic", 'design={"poles": [[-0.5], [-1.0]], "select": [-1.0]}',
+         "field 'design.poles' must be a flat list of 2 poles"),
+        ("quadrotor", "design.K=[0,0,0,0,0,0,0,0,0]", "field 'design.K' must be a 9x3 nested list"),
+        ("siso", "design.select=1", "field 'design.select' must be a flat list of 1 eigenvalues"),
+        ("siso", "design.select=NaN", "design.select must be finite, not nan"),
+        ("siso", 'design.select={"a": 1}', "design.select must be a number, not {'a': 1}"),
+        ("siso", 'design.select="-1"', "design.select must be a number, not '-1'"),
+    ], ids=["flat_K", "column_poles", "flat_K_multi_input", "select_int", "select_nan",
+            "select_dict", "select_str"])
+    def test_design_field_of_wrong_shape_is_config_error(self, tmp_path, capsys, scenario, override,
+                                                         message):
+        # a flat K would read as poles and a column of poles as a gain
+        code = run(["design", "--scenario", scenario, "--set", override, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
     @pytest.mark.parametrize("scenario, override, recorded", [
         ("f16", "plant.f2_typo_fix=true", None),
         ("siso", "epsilon=1", '"epsilon": 1.0,'),
