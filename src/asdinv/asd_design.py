@@ -1,10 +1,11 @@
 """Design of the closed linear skeleton and its structural verification.
 
 Builds A = A0 + B K^T, redefines the output through eigenvectors of A^T
-(so that C^T A = -Lambda C^T), realizes the transfer path
-G(s) = (s I + Lambda)^-1 C^T B, and checks every identity the design
+(so that C^T A = -Lambda C^T, giving the transfer path
+G(s) = (s I + Lambda)^-1 C^T B), and checks every identity the design
 relies on against the named tolerances of numlin. The additive split
-y = y_p + y_s along a trajectory is sim.decompose.
+y = y_p + y_s along a trajectory is Trace.y_p/y_s from
+sim.simulate(..., with_decomposition=True).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "LtiRealization",
     "StructureReport",
     "build_core",
-    "build_G",
     "ctb_invertible",
     "verify_theorem1",
 ]
@@ -100,9 +100,6 @@ class LtiRealization:
     H: np.ndarray
     D: np.ndarray
 
-    def dc_gain(self) -> np.ndarray:
-        return self.response(0.0)
-
     def response(self, s) -> np.ndarray:
         """D + H (sI - F)^-1 G_in; an array of s gives the stack, from one solve."""
         a = np.asarray(s)[..., None, None] * np.eye(self.F.shape[0]) - self.F
@@ -116,10 +113,6 @@ class StructureReport:
     det_ctb: float
     c_rank: int
     checks: dict = field(default_factory=dict)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.checks.values())
 
 
 def build_core(
@@ -201,17 +194,6 @@ def build_core(
             f"C^T A + Lambda C^T residual {report.theorem1_residual:.3e} exceeds tolerance"
         )
     return core
-
-
-def build_G(core: LinearCore) -> LtiRealization:
-    """Realize G(s) = (s I_m + Lambda)^-1 C^T B as an m-state system."""
-    m = core.m
-    return LtiRealization(
-        F=-core.Lam.copy(),
-        G_in=core.CtB.copy(),
-        H=np.eye(m),
-        D=np.zeros((m, m)),
-    )
 
 
 def verify_theorem1(core: LinearCore) -> StructureReport:

@@ -100,7 +100,8 @@ def load_scenario(ref: str, overrides=()) -> Scenario:
     for fieldname in ("plant", "design", "epsilon", "saturation", "sim"):
         if fieldname not in raw:
             raise ConfigError(f"scenario {ref!r} is missing the {fieldname!r} field")
-        if fieldname != "epsilon" and not isinstance(raw[fieldname], dict):
+    for fieldname in ("plant", "design", "saturation", "sim", "constants"):  # constants is optional
+        if not isinstance(raw.get(fieldname, {}), dict):
             raise ConfigError(f"field {fieldname!r} must be a JSON object")
     name = raw.get("name", Path(ref).stem)  # names the output directory <out>/<name>
     if not isinstance(name, str) or name in ("", ".", "..") or "\0" in name or Path(name).name != name:
@@ -182,7 +183,7 @@ def build_sim_config(sc: Scenario) -> sim.SimConfig:
 
 
 def _constants(sc: Scenario, plant) -> plants.AssumptionConstants:
-    if "constants" in sc.raw and sc.raw["constants"]:
+    if sc.raw.get("constants"):  # {} falls back to the plant's own
         try:
             return plants.AssumptionConstants(**sc.raw["constants"])
         except (TypeError, ValueError) as exc:

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asd_design import LinearCore, LtiRealization
-from .errors import NonFiniteInput
-from .numlin import as_float, rk4_step
+from .numlin import as_float
 
 __all__ = [
     "ControllerSpec",
@@ -71,7 +70,7 @@ class ControllerSpec:
 
 
 class _ControllerBase:
-    """A realization (F, Gx, Gu, H, D) and its state, stepped on its own.
+    """A realization (F, Gx, Gu, H, D) and its runtime maps.
 
     Subclasses set the quadruple, `measure(x)` = v, the signal the
     realization reads (x itself for PI, y = C^T x for the observer), and
@@ -79,25 +78,9 @@ class _ControllerBase:
     """
 
     def __init__(self, spec: ControllerSpec):
-        self.spec = spec
         self.eps = spec.epsilon
         self.m = spec.core.m
         self.state_dim = self.F.shape[0]
-        self.reset()
-
-    def reset(self):
-        self.state = np.zeros(self.state_dim)
-
-    def step(self, v: np.ndarray, dt: float) -> np.ndarray:
-        """Advance the state by one RK4 step of dt with v and the saturated
-        output at the step start held; return that output."""
-        v = np.asarray(v, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteInput("controller input contains non-finite entries")
-        u = np.minimum(np.maximum(self.unsat_output(self.state, v), self.spec.u_min), self.spec.u_max)
-        f = lambda _t, s: self.derivative(s, v, u)
-        self.state = rk4_step(f, 0.0, self.state, dt, f(0.0, self.state))
-        return u
 
 
 class PiController(_ControllerBase):
@@ -117,7 +100,6 @@ class PiController(_ControllerBase):
         return self.Ki.dot(x)
 
     measure = staticmethod(lambda x: x)  # PI reads x itself
-    step_pi = _ControllerBase.step
 
 
 class ObserverController(_ControllerBase):
@@ -152,8 +134,6 @@ class ObserverController(_ControllerBase):
         yp, w = s[:m], s[m:]
         dyp = self._neg_lam * yp + self.CtB.dot(u_applied)
         return np.concatenate((dyp, (y - yp - w) / self.eps))  # (d_hat - w) / eps
-
-    step_observer = _ControllerBase.step
 
 
 _REALIZATIONS = {"pi_closed": PiController, "observer": ObserverController}

@@ -55,10 +55,6 @@ class UnknownUncertainty(AsdinvError):
 
 # --- runtime ---
 
-class NonFiniteInput(AsdinvError):
-    pass
-
-
 class NonFiniteState(AsdinvError):
     """Closed-loop divergence. Carries the blow-up time and partial trace."""
 

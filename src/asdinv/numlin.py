@@ -2,11 +2,10 @@
 
 Real eigendecomposition (left eigenvectors), Lyapunov solve via the
 Kronecker-sum linear system, controllability rank, single-input
-Ackermann pole placement, and the classical RK4 step that both the
-closed-loop simulator and the stand-alone controller take. Everything
-here targets the small systems (n <= 9) this library works with;
-correctness is defined by explicit residual contracts, not by the
-algorithm used.
+Ackermann pole placement, and the classical RK4 step that the
+closed-loop simulator takes. Everything here targets the small systems
+(n <= 9) this library works with; correctness is defined by explicit
+residual contracts, not by the algorithm used.
 
 Every pass/fail tolerance of the library is a named constant below,
 beside the scale it multiplies; the other modules import these names and

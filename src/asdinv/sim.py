@@ -21,14 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .asd_design import LinearCore
 from .controller_rt import ControllerSpec, closed_realization, make_controller
-from .errors import EmptyTrace, NonFiniteState, UnknownUncertainty
+from .errors import EmptyTrace, NonFiniteState
 from .numlin import STIFF_DT_RHO, as_float, rk4_step
 from .plants import UncertainPlant
 
-__all__ = ["SimConfig", "Trace", "Metrics", "simulate", "decompose", "energy_index", "metrics",
-           "entry_time", "export_csv"]
+__all__ = ["SimConfig", "Trace", "Metrics", "simulate", "energy_index", "metrics", "entry_time",
+           "export_csv"]
 
 _BLOWUP = 1e12
 _PRECHECK = 0.99 * _BLOWUP**2
@@ -236,26 +235,6 @@ def simulate(
             trace=trace,
         )
     return trace
-
-
-def decompose(core: LinearCore, plant: UncertainPlant, trace: Trace):
-    """Primary/secondary output split (y_p, y_s) on the trace's grid.
-
-    Re-runs the recorded closed loop with the decomposition states
-    integrated alongside the plant, so the identity y_p + y_s = C^T x
-    holds to integration precision. The trace must carry its scenario
-    metadata (controller and integrator settings) as written by simulate.
-    """
-    if plant.input_delay > 0:
-        raise UnknownUncertainty("decomposition needs an input map evaluable at the current input")
-    md = trace.metadata
-    try:
-        spec = ControllerSpec(core, md["epsilon"], md["u_min"], md["u_max"], md["realization"])
-        cfg = SimConfig(md["dt"], md["t_final"], md["x0"], md["record_stride"])
-    except KeyError as exc:
-        raise UnknownUncertainty(f"trace metadata missing field {exc}") from exc
-    rerun = simulate(plant, spec, cfg, with_decomposition=True)
-    return rerun.y_p, rerun.y_s
 
 
 def energy_index(trace: Trace) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Design layer: closed skeleton, output redefinition, transfer-path
-realization, structural verification, and the additive output split."""
+realization, structural verification, and the additive output split
+y = y_p + y_s that simulate(..., with_decomposition=True) records."""
 
 import dataclasses
 
@@ -11,15 +12,13 @@ from hypothesis import strategies as st
 from asdinv import (
     ControllerSpec,
     DimensionMismatch,
+    LtiRealization,
     MultiInput,
     SelectionNotEigenvalue,
     SimConfig,
     SingularCB,
-    UnknownUncertainty,
     Unstable,
-    build_G,
     build_core,
-    decompose,
     delayed_input_lti,
     make_controller,
     pi_gains,
@@ -152,19 +151,8 @@ class TestBuildCoreFaults:
 
 
 class TestRealization:
-    def test_dc_gain(self, siso_core):
-        G = build_G(siso_core)
-        # G(0) = Lam^-1 C^T B
-        want = np.linalg.solve(siso_core.Lam, siso_core.CtB)
-        np.testing.assert_allclose(G.dc_gain(), want, atol=1e-12)
-
-    def test_dc_gain_is_response_at_zero(self, siso_core, f16_core):
-        for core in (siso_core, f16_core):
-            G = build_G(core)
-            assert np.array_equal(G.dc_gain(), G.response(0.0))
-
     def test_response_matches_closed_form(self, f16_core):
-        G = build_G(f16_core)
+        G = LtiRealization(F=-f16_core.Lam, G_in=f16_core.CtB, H=np.eye(2), D=np.zeros((2, 2)))
         for w in (0.1, 1.0, 10.0):
             s = 1j * w
             want = np.linalg.solve(
@@ -194,36 +182,28 @@ class TestRealization:
 
 
 class TestDecompose:
-    def test_split_sums_to_output(self, siso_core, siso_plant, siso_trace):
-        y_p, y_s = decompose(siso_core, siso_plant, siso_trace)
-        y = siso_trace.x @ siso_core.C
-        err = np.max(np.abs(y_p + y_s - y))
-        assert err <= 1e-6 * max(np.max(np.abs(y)), 1e-12)
-
     def test_primary_matches_observer_state(self, siso_trace):
         np.testing.assert_allclose(
             siso_trace.y_p + siso_trace.y_s, siso_trace.y, atol=1e-9
         )
 
-    def test_delayed_plant_rejected(self, synthetic_core, siso_trace):
-        plant = delayed_input_lti(0.05, g=1.0, d_amp=0.0)
-        with pytest.raises(UnknownUncertainty):
-            decompose(synthetic_core, plant, siso_trace)
-
-    def test_missing_metadata_rejected(self, siso_core, siso_plant, siso_trace):
-        import copy
-
-        broken = copy.copy(siso_trace)
-        broken.metadata = {}
-        with pytest.raises(UnknownUncertainty):
-            decompose(siso_core, siso_plant, broken)
+    @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
+    def test_split_holds_on_delayed_plant(self, kind):
+        # the y_s state integrates the delayed h the plant sees, so the
+        # identity needs no undelayed input map (delay_demo, 3 s)
+        plant = delayed_input_lti(0.05, g=1.0, S=np.array([[0.0, 0.0]]), d_amp=0.0, d_freq=1.0)
+        core = build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
+        cfg = SimConfig(dt=1e-3, t_final=3.0, x0=np.array([1.0, 0.0]), record_stride=10)
+        trace = simulate(plant, spec_for(core, 0.2, -1000.0, 1000.0, kind=kind), cfg,
+                         with_decomposition=True)
+        assert np.max(np.abs(trace.y_p + trace.y_s - trace.y)) <= 1e-12 * np.max(np.abs(trace.y))
 
 
 class TestVerify:
     def test_reports_pass_on_built_cores(self, siso_core, f16_core, quad_core):
         for core in (siso_core, f16_core, quad_core):
             rep = verify_theorem1(core)
-            assert rep.all_pass, rep.checks
+            assert all(rep.checks.values()), rep.checks
             assert rep.c_rank == core.m
 
     @settings(max_examples=25, deadline=None)
@@ -242,7 +222,7 @@ class TestVerify:
         poles = -np.arange(1.0, n + 1.0) - rng.uniform(0, 0.5)
         core = build_core(A0, b, poles, [poles[0]])
         rep = verify_theorem1(core)
-        assert rep.all_pass
+        assert all(rep.checks.values())
 
 
 class TestCtbOnce:

@@ -1,16 +1,16 @@
-"""Controller realizations: gain formulas, stepping, saturation, and the
-time/frequency equivalence of the closed PI form and the observer form."""
+"""Controller realizations: gain formulas, specs and saturation bounds, the
+quadruple behind the runtime maps, and the time/frequency equivalence of
+the closed PI form and the observer form."""
 
 import numpy as np
 import pytest
 
 from asdinv import (
     ControllerSpec,
-    NonFiniteInput,
+    LtiRealization,
     ObserverController,
     PiController,
     SimConfig,
-    build_G,
     build_core,
     closed_realization,
     make_controller,
@@ -64,49 +64,6 @@ class TestSpec:
             make_controller(spec_for(siso_core, 0.1, -5, 5, kind="observer")),
             ObserverController,
         )
-
-
-class TestStepping:
-    def test_pi_zero_state_zero_input(self, siso_core):
-        ctrl = PiController(spec_for(siso_core, 0.1, -5, 5))
-        u = ctrl.step_pi(np.zeros(3), 1e-3)
-        np.testing.assert_allclose(u, 0.0, atol=1e-15)
-        np.testing.assert_allclose(ctrl.state, 0.0, atol=1e-15)
-
-    def test_pi_integrator_drift(self, siso_core):
-        # constant x held for T seconds: integrator ends at T * Ki x
-        ctrl = PiController(spec_for(siso_core, 0.1, -1e9, 1e9))
-        x = np.array([1.0, -0.5, 0.25])
-        dt, steps = 1e-3, 200
-        for _ in range(steps):
-            ctrl.step_pi(x, dt)
-        want = steps * dt * (ctrl.Ki @ x)
-        np.testing.assert_allclose(ctrl.state, want, rtol=1e-10)
-
-    def test_saturation_clamps(self, siso_core):
-        ctrl = PiController(spec_for(siso_core, 0.1, -5, 5))
-        u = ctrl.step_pi(np.array([100.0, 100.0, 100.0]), 1e-3)
-        assert np.all(np.abs(u) <= 5.0)
-
-    def test_observer_zero_measurement(self, siso_core):
-        ctrl = ObserverController(spec_for(siso_core, 0.1, -5, 5, kind="observer"))
-        u = ctrl.step_observer(np.zeros(1), 1e-3)
-        np.testing.assert_allclose(u, 0.0, atol=1e-15)
-
-    def test_non_finite_input_raises(self, siso_core):
-        pi = PiController(spec_for(siso_core, 0.1, -5, 5))
-        with pytest.raises(NonFiniteInput):
-            pi.step_pi(np.array([np.nan, 0.0, 0.0]), 1e-3)
-        ob = ObserverController(spec_for(siso_core, 0.1, -5, 5, kind="observer"))
-        with pytest.raises(NonFiniteInput):
-            ob.step_observer(np.array([np.inf]), 1e-3)
-
-    def test_reset(self, siso_core):
-        ctrl = PiController(spec_for(siso_core, 0.1, -5, 5))
-        ctrl.step_pi(np.ones(3), 1e-3)
-        assert np.any(ctrl.state != 0)
-        ctrl.reset()
-        np.testing.assert_allclose(ctrl.state, 0.0)
 
 
 class TestEquivalence:
@@ -175,9 +132,9 @@ class TestStateSpace:
         s = 1j * np.logspace(-2, 2, 20)
         assert np.array_equal(closed.response(s), np.array([closed.response(v) for v in s]))
         assert np.array_equal(x_to_u_response(spec, s.imag), closed.response(s))
-        G = build_G(core)  # the closed PI realization has a pole at s = 0
-        assert G.dc_gain().dtype == float
-        assert np.array_equal(G.dc_gain(), G.response(0.0))
+        # G(s) = (s I + Lam)^-1 C^T B, since the closed PI realization has a pole at s = 0
+        G = LtiRealization(F=-core.Lam, G_in=core.CtB, H=np.eye(core.m), D=np.zeros((core.m, core.m)))
+        assert G.response(0.0).dtype == float
 
     def test_response_solves_a_stack_of_matrices(self, siso_core, monkeypatch):
         # numpy 1.x reads a right-hand side with one dimension fewer than the
