@@ -25,7 +25,7 @@ from asdinv import (
     simulate,
     synthetic_lti,
 )
-from asdinv.analysis import bound_report, eta, gammas
+from asdinv.analysis import bound_report
 from asdinv.errors import NonFiniteState
 
 
@@ -33,12 +33,11 @@ def sweep(points: int, t_final: float) -> None:
     plant = synthetic_lti(g=1.0, S=np.array([[0.05, 0.05]]), d_amp=0.1, d_freq=1.0)
     core = build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
     rep = bound_report(core, plant.constants)
-    g0, g1, g2 = gammas(core, plant.constants)
     print(f"# eps_max = {rep.eps_max:.6g}", file=sys.stderr)
     print("epsilon,eta,ultimate_bound_appendix,sup_tail,diverged,stiff")
     for eps in np.logspace(np.log10(rep.eps_max) - 2, np.log10(rep.eps_max) + 0.5, points):
-        ev = eta(eps, g0, g1, g2, plant.constants, core.P)
         r = bound_report(core, plant.constants, epsilon=eps)
+        ev = r.eta(eps)
         bound = r.ultimate_appendix if r.ultimate_appendix is not None else float("nan")
         spec = ControllerSpec(core, eps, np.array([-1000.0]), np.array([1000.0]))
         cfg = SimConfig(dt=1e-3, t_final=t_final, x0=np.array([1.0, 0.0]), record_stride=10)

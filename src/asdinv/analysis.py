@@ -1,5 +1,6 @@
-"""Stability-margin machinery: gamma constants, the admissible filter
-range, the decay rate eta, ultimate bounds, and a Lyapunov certificate
+"""Stability-margin machinery: one Theorem-2 report per design and
+assumption constants (the gamma constants, the admissible filter range,
+the decay rate eta and the ultimate bounds), and a Lyapunov certificate
 evaluated along simulated traces.
 
 All matrix norms are spectral; vector norms Euclidean.
@@ -8,13 +9,13 @@ All matrix norms are spectral; vector norms Euclidean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .asd_design import LinearCore
-from .errors import EtaNonpositive, UnknownUncertainty
+from .errors import UnknownUncertainty
 from .numlin import CERT_ATOL
 from .plants import AssumptionConstants, UncertainPlant
 from .sim import Trace, entry_time
@@ -22,97 +23,111 @@ from .sim import Trace, entry_time
 __all__ = [
     "BoundReport",
     "CertificateSeries",
-    "gammas",
-    "epsilon_bound",
-    "eta",
-    "ultimate_bound",
     "bound_report",
     "lyapunov_certificate",
     "sample_constants",
 ]
 
 
-def gammas(core: LinearCore, consts: AssumptionConstants) -> tuple[float, float, float]:
-    """The three closed-loop constants entering the filter bound."""
-    norm = lambda M: float(np.linalg.norm(M, 2))
-    g0 = float(np.min(np.linalg.eigvalsh(core.M)))
-    g1 = 2.0 * (norm(core.K) + consts.l_sigma_x) * norm(core.B) + 2.0 * consts.l_ht / consts.l_hu_low
-    g2 = (
-        norm(core.P) * norm(core.B)
-        + norm(core.A) * (norm(core.K) + consts.l_sigma_x)
-        + norm(core.K)
-        + consts.k_sigma
-    )
-    return g0, g1, g2
-
-
-def epsilon_bound(g0: float, g1: float, g2: float, consts: AssumptionConstants) -> float:
-    """Largest admissible filter time constant; inf when the denominator vanishes."""
-    denom = g1 + (2.0 / g0) * (g2 + consts.l_sigma_t) ** 2
-    if denom == 0.0:
-        return math.inf
-    return consts.l_hu_low / denom
-
-
-def eta(
-    epsilon: float,
-    g0: float,
-    g1: float,
-    g2: float,
-    consts: AssumptionConstants,
-    P: np.ndarray,
-) -> float:
-    """Exponential decay rate of the Lyapunov function; positive iff epsilon
-    is inside the admissible range. An array of epsilon gives one rate each."""
-    epsilon = np.asarray(epsilon, dtype=float)
-    if not np.all(epsilon > 0):
-        raise ValueError("epsilon must be positive")
-    first = g0 / (2.0 * float(np.max(np.linalg.eigvalsh(P))))
-    second = consts.l_hu_low / epsilon - g1 - (2.0 / g0) * (g2 + consts.l_sigma_t) ** 2
-    return np.minimum(first, second)
-
-
-def ultimate_bound(
-    epsilon: float,
-    eta_value: float,
-    consts: AssumptionConstants,
-    P: np.ndarray,
-) -> tuple[float, float]:
-    """(appendix form, statement form) of the ultimate bound on ||x||.
-
-    The two published variants differ by a lambda_min(P) factor; the
-    appendix derivation is complete, so its form is the primary one.
-    """
-    if not eta_value > 0:
-        raise EtaNonpositive(f"eta = {eta_value:.3e} is not positive")
-    drive = (consts.l_ht / consts.l_hu_low) * consts.delta_sigma + consts.d_sigma
-    p_min = float(np.min(np.linalg.eigvalsh(P)))
-    appendix = math.sqrt(epsilon / (p_min * eta_value * consts.l_hu_low)) * drive
-    statement = math.sqrt(epsilon / (eta_value * consts.l_hu_low)) * drive
-    return appendix, statement
-
-
 @dataclass(frozen=True)
 class BoundReport:
+    """Theorem 2 for one design and one set of assumption constants.
+
+    The fields are the three closed-loop gammas and the extreme eigenvalues
+    of P; every other quantity is derived from them. The ultimate bounds and
+    the certificate's ball need the filter constant `epsilon` and are None
+    where eta(epsilon) is not positive.
+    """
+
+    consts: AssumptionConstants
     gamma0: float
     gamma1: float
     gamma2: float
-    eps_max: float
-    eps_grid: np.ndarray
-    eta_grid: np.ndarray
-    ultimate_appendix: Optional[float]
-    ultimate_statement: Optional[float]
-    epsilon: Optional[float]
     p_min: float
     p_max: float
+    epsilon: Optional[float] = None
+
+    def __post_init__(self):
+        if self.epsilon is not None:
+            self.eta(self.epsilon)  # rejects a non-positive or NaN epsilon up front
+
+    @property
+    def _filter_term(self) -> float:
+        return (2.0 / self.gamma0) * (self.gamma2 + self.consts.l_sigma_t) ** 2
+
+    @property
+    def eps_max(self) -> float:
+        """Largest admissible filter time constant; inf when the denominator vanishes."""
+        denom = self.gamma1 + self._filter_term
+        if denom == 0.0:
+            return math.inf
+        return self.consts.l_hu_low / denom
+
+    def eta(self, epsilon):
+        """Exponential decay rate of the Lyapunov function; positive iff epsilon
+        is inside the admissible range. An array of epsilon gives one rate each."""
+        epsilon = np.asarray(epsilon, dtype=float)
+        if not np.all(epsilon > 0):
+            raise ValueError("epsilon must be positive")
+        first = self.gamma0 / (2.0 * self.p_max)
+        second = self.consts.l_hu_low / epsilon - self.gamma1 - self._filter_term
+        return np.minimum(first, second)
+
+    @property
+    def eps_grid(self) -> np.ndarray:
+        """25 log-spaced epsilons over [1e-3 eps_max, eps_max] (eps_max = 1 when unbounded)."""
+        hi = self.eps_max if math.isfinite(self.eps_max) else 1.0
+        return np.logspace(np.log10(hi * 1e-3), np.log10(hi), 25)
+
+    @property
+    def eta_grid(self) -> np.ndarray:
+        return self.eta(self.eps_grid)
+
+    @property
+    def _positive_eta(self) -> Optional[float]:
+        """eta(epsilon) when it is positive, else None."""
+        if self.epsilon is None:
+            return None
+        ev = self.eta(self.epsilon)
+        return ev if ev > 0 else None
+
+    @property
+    def _drive(self) -> float:
+        c = self.consts
+        return (c.l_ht / c.l_hu_low) * c.delta_sigma + c.d_sigma
+
+    @property
+    def ultimate_appendix(self) -> Optional[float]:
+        """Ultimate bound on ||x||, appendix form. The two published variants
+        differ by a lambda_min(P) factor; the appendix derivation is
+        complete, so its form is the primary one."""
+        ev = self._positive_eta
+        if ev is None:
+            return None
+        return math.sqrt(self.epsilon / (self.p_min * ev * self.consts.l_hu_low)) * self._drive
+
+    @property
+    def ultimate_statement(self) -> Optional[float]:
+        """Ultimate bound on ||x||, the form in the theorem's statement."""
+        ev = self._positive_eta
+        if ev is None:
+            return None
+        return math.sqrt(self.epsilon / (ev * self.consts.l_hu_low)) * self._drive
+
+    @property
+    def ball_radius(self) -> Optional[float]:
+        """The terminal level of V = x^T P x + v^T v."""
+        ev = self._positive_eta
+        if ev is None:
+            return None
+        return (1.0 / ev) * (self.epsilon / self.consts.l_hu_low) * self._drive**2
 
     def to_dict(self) -> dict:
-        enc = lambda v: ("inf" if v is not None and math.isinf(v) else v)
         return {
             "gamma0": self.gamma0,
             "gamma1": self.gamma1,
             "gamma2": self.gamma2,
-            "eps_max": enc(self.eps_max),
+            "eps_max": "inf" if math.isinf(self.eps_max) else self.eps_max,
             "eps_grid": list(self.eps_grid),
             "eta_grid": list(self.eta_grid),
             "ultimate_bound_appendix": self.ultimate_appendix,
@@ -128,33 +143,19 @@ def bound_report(
     consts: AssumptionConstants,
     epsilon: Optional[float] = None,
 ) -> BoundReport:
-    """Evaluate every Theorem-2 quantity, with eta sampled at 25 log-spaced
-    epsilons over [1e-3 eps_max, eps_max] (eps_max = 1 when unbounded)."""
-    g0, g1, g2 = gammas(core, consts)
-    eps_max = epsilon_bound(g0, g1, g2, consts)
-    hi = eps_max if math.isfinite(eps_max) else 1.0
-    grid = np.logspace(np.log10(hi * 1e-3), np.log10(hi), 25)
-    eta_grid = eta(grid, g0, g1, g2, consts, core.P)
-
-    ua = us = None
-    if epsilon is not None:
-        ev = eta(epsilon, g0, g1, g2, consts, core.P)
-        if ev > 0:
-            ua, us = ultimate_bound(epsilon, ev, consts, core.P)
-    pw = np.linalg.eigvalsh(core.P)
-    return BoundReport(
-        gamma0=g0,
-        gamma1=g1,
-        gamma2=g2,
-        eps_max=eps_max,
-        eps_grid=grid,
-        eta_grid=eta_grid,
-        ultimate_appendix=ua,
-        ultimate_statement=us,
-        epsilon=epsilon,
-        p_min=float(pw[0]),
-        p_max=float(pw[-1]),
+    """The Theorem-2 report of a design under the given constants; a given
+    epsilon must be positive."""
+    norm = lambda M: float(np.linalg.norm(M, 2))
+    g0 = float(np.min(np.linalg.eigvalsh(core.M)))
+    g1 = 2.0 * (norm(core.K) + consts.l_sigma_x) * norm(core.B) + 2.0 * consts.l_ht / consts.l_hu_low
+    g2 = (
+        norm(core.P) * norm(core.B)
+        + norm(core.A) * (norm(core.K) + consts.l_sigma_x)
+        + norm(core.K)
+        + consts.k_sigma
     )
+    pw = np.linalg.eigvalsh(core.P)
+    return BoundReport(consts, g0, g1, g2, float(pw[0]), float(pw[-1]), epsilon)
 
 
 @dataclass(frozen=True)
@@ -187,14 +188,10 @@ def lyapunov_certificate(
     radius = entered = stays = None
     eps = epsilon if epsilon is not None else trace.metadata.get("epsilon")
     if plant.constants is not None and eps is not None:
-        c = plant.constants
-        g0, g1, g2 = gammas(core, c)
-        ev = eta(eps, g0, g1, g2, c, P)
-        if ev > 0:
-            drive = (c.l_ht / c.l_hu_low) * c.delta_sigma + c.d_sigma
-            radius = (1.0 / ev) * (eps / c.l_hu_low) * drive**2
-            entered = entry_time(trace.t, V <= radius + CERT_ATOL)
-            stays = entered is not None
+        radius = bound_report(core, plant.constants, eps).ball_radius
+    if radius is not None:
+        entered = entry_time(trace.t, V <= radius + CERT_ATOL)
+        stays = entered is not None
     return CertificateSeries(
         t=trace.t.copy(), V=V, v=vs, ball_radius=radius,
         entered_ball_at=entered, stays_in_ball=stays,

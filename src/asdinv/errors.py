@@ -74,10 +74,6 @@ class SingularInertia(AsdinvError):
 
 # --- analysis ---
 
-class EtaNonpositive(AsdinvError):
-    pass
-
-
 class MissingConstants(AsdinvError):
     pass
 

@@ -271,6 +271,8 @@ def dead_zone(mu: float):
 
     Inputs with |u_i| < mu are zeroed before reaching the original h;
     equivalently h(t, u) = h0(t, u + delta(t)) with ||delta|| <= mu sqrt(m).
+    The wrapped plant carries no assumption constants: h has slope 0 on
+    |u_i| < mu, so no positive l_hu_low bounds its input Jacobian.
     """
     mu = as_float(mu, "mu")
     if not mu > 0:
@@ -284,7 +286,7 @@ def dead_zone(mu: float):
             return inner(t, uz, x)
 
         return replace(
-            plant, name=plant.name + "+deadzone", h=h,
+            plant, name=plant.name + "+deadzone", h=h, constants=None,
             meta={**plant.meta, "dead_zone_mu": mu},
         )
 

@@ -8,25 +8,21 @@ import pytest
 
 from asdinv import (
     AssumptionConstants,
+    BoundReport,
     QuadrotorConfig,
-    EtaNonpositive,
     SimConfig,
     UnknownUncertainty,
     bound_report,
     build_core,
     dead_zone,
     delayed_input_lti,
-    epsilon_bound,
-    eta,
     f16_rollyaw,
-    gammas,
     hsu_siso,
     lyapunov_certificate,
     quadrotor_attitude,
     sample_constants,
     simulate,
     synthetic_lti,
-    ultimate_bound,
     UncertainPlant,
 )
 from asdinv import cli
@@ -38,7 +34,7 @@ class TestGammas:
     def test_dual_evaluation(self, synthetic_core, synthetic_plant):
         # recompute each constant from its definition with independent code
         core, c = synthetic_core, synthetic_plant.constants
-        g0, g1, g2 = gammas(core, c)
+        rep = bound_report(core, c)
         sn = lambda M: np.linalg.svd(np.atleast_2d(M), compute_uv=False)[0]
         want0 = min(np.linalg.eigvalsh(core.M))
         want1 = 2 * (sn(core.K) + c.l_sigma_x) * sn(core.B) + 2 * c.l_ht / c.l_hu_low
@@ -48,14 +44,13 @@ class TestGammas:
             + sn(core.K)
             + c.k_sigma
         )
-        assert abs(g0 - want0) < 1e-12
-        assert abs(g1 - want1) < 1e-12
-        assert abs(g2 - want2) < 1e-12
+        assert abs(rep.gamma0 - want0) < 1e-12
+        assert abs(rep.gamma1 - want1) < 1e-12
+        assert abs(rep.gamma2 - want2) < 1e-12
 
     def test_gamma0_is_one_for_identity_m(self, siso_core):
-        consts = AssumptionConstants()
-        g0, _, _ = gammas(siso_core, consts)
-        assert g0 == pytest.approx(1.0, abs=1e-12)
+        rep = bound_report(siso_core, AssumptionConstants())
+        assert rep.gamma0 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEpsilonBound:
@@ -63,88 +58,95 @@ class TestEpsilonBound:
         # g0=2, g1=1, g2=1, l_sigma_t=0, l_hu_low=1:
         # eps_max = 1 / (1 + (2/2)*1) = 0.5
         c = AssumptionConstants(l_hu_low=1.0, l_hu_high=1.0, l_sigma_t=0.0)
-        assert epsilon_bound(2.0, 1.0, 1.0, c) == pytest.approx(0.5, abs=1e-15)
+        assert BoundReport(c, 2.0, 1.0, 1.0, 1.0, 1.0).eps_max == pytest.approx(0.5, abs=1e-15)
 
     def test_infinite_when_denominator_vanishes(self):
         c = AssumptionConstants(l_hu_low=1.0, l_hu_high=1.0)
-        assert math.isinf(epsilon_bound(2.0, 0.0, 0.0, c))
+        assert math.isinf(BoundReport(c, 2.0, 0.0, 0.0, 1.0, 1.0).eps_max)
 
     def test_positive_sign_iff_admissible(self, synthetic_core, synthetic_plant):
         # eta > 0 exactly when epsilon < eps_max, checked on a log grid
-        core, c = synthetic_core, synthetic_plant.constants
-        g0, g1, g2 = gammas(core, c)
-        eps_max = epsilon_bound(g0, g1, g2, c)
+        rep = bound_report(synthetic_core, synthetic_plant.constants)
+        eps_max = rep.eps_max
         assert math.isfinite(eps_max) and eps_max > 0
         for e in np.logspace(np.log10(eps_max) - 2, np.log10(eps_max) + 1, 50):
-            ev = eta(e, g0, g1, g2, c, core.P)
             if abs(e - eps_max) < 1e-12 * eps_max:
                 continue
             # the second eta term changes sign at eps_max; the first term
             # caps eta but is positive, so the sign test is exact
-            assert (ev > 0) == (e < eps_max)
+            assert (rep.eta(e) > 0) == (e < eps_max)
 
 
 class TestEta:
     def test_small_epsilon_limit(self, synthetic_core, synthetic_plant):
         # as epsilon -> 0 the filter term grows and the P-dependent cap wins
-        core, c = synthetic_core, synthetic_plant.constants
-        g0, g1, g2 = gammas(core, c)
-        cap = g0 / (2 * np.max(np.linalg.eigvalsh(core.P)))
-        assert eta(1e-9, g0, g1, g2, c, core.P) == pytest.approx(cap, rel=1e-12)
+        core = synthetic_core
+        rep = bound_report(core, synthetic_plant.constants)
+        cap = rep.gamma0 / (2 * np.max(np.linalg.eigvalsh(core.P)))
+        assert rep.eta(1e-9) == pytest.approx(cap, rel=1e-12)
 
     def test_monotone_nonincreasing(self, synthetic_core, synthetic_plant):
-        core, c = synthetic_core, synthetic_plant.constants
-        g0, g1, g2 = gammas(core, c)
-        es = np.logspace(-5, 0, 40)
-        vals = [eta(e, g0, g1, g2, c, core.P) for e in es]
+        rep = bound_report(synthetic_core, synthetic_plant.constants)
+        vals = [rep.eta(e) for e in np.logspace(-5, 0, 40)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_requires_positive_epsilon(self, synthetic_core, synthetic_plant):
         c = synthetic_plant.constants
-        g0, g1, g2 = gammas(synthetic_core, c)
-        with pytest.raises(ValueError):
-            eta(0.0, g0, g1, g2, c, synthetic_core.P)
+        for epsilon in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                bound_report(synthetic_core, c).eta(epsilon)
+            # the report checks its own epsilon before anything reads it
+            with pytest.raises(ValueError, match="positive"):
+                bound_report(synthetic_core, c, epsilon=epsilon)
 
     def test_array_equals_one_call_per_epsilon(self, synthetic_core, synthetic_plant):
         # 25 points across eps_max, where eta changes sign
-        core, c = synthetic_core, synthetic_plant.constants
-        g0, g1, g2 = gammas(core, c)
-        grid = epsilon_bound(g0, g1, g2, c) * np.logspace(-3, 1, 25)
-        got = eta(grid, g0, g1, g2, c, core.P)
-        assert np.array_equal(got, [eta(e, g0, g1, g2, c, core.P) for e in grid])
+        rep = bound_report(synthetic_core, synthetic_plant.constants)
+        grid = rep.eps_max * np.logspace(-3, 1, 25)
+        got = rep.eta(grid)
+        assert np.array_equal(got, [rep.eta(e) for e in grid])
         assert np.any(got > 0) and np.any(got < 0)
+        assert np.array_equal(rep.eta_grid, [rep.eta(e) for e in rep.eps_grid])
         with pytest.raises(ValueError):
-            eta(np.append(grid, 0.0), g0, g1, g2, c, core.P)
+            rep.eta(np.append(grid, 0.0))
 
 
 class TestUltimateBound:
     def test_closed_form(self):
-        # epsilon=0.04, eta=1, l_hu_low=1, drive = 0*delta + d_sigma = 3,
-        # P = diag(4, 9): appendix = sqrt(0.04/4)*3 = 0.3, statement = 0.6
+        # gamma0 = 18 and P = diag(4, 9) cap eta at 18 / (2 * 9) = 1; with
+        # epsilon = 0.04, l_hu_low = 1 and drive = 0*delta + d_sigma = 3:
+        # appendix = sqrt(0.04/4)*3 = 0.3, statement = 0.6
         c = AssumptionConstants(l_hu_low=1.0, l_hu_high=1.0, d_sigma=3.0)
-        P = np.diag([4.0, 9.0])
-        a, s = ultimate_bound(0.04, 1.0, c, P)
-        assert a == pytest.approx(0.3, abs=1e-14)
-        assert s == pytest.approx(0.6, abs=1e-14)
+        rep = BoundReport(c, 18.0, 0.0, 0.0, 4.0, 9.0, 0.04)
+        assert rep.eta(0.04) == 1.0
+        assert rep.ultimate_appendix == pytest.approx(0.3, abs=1e-14)
+        assert rep.ultimate_statement == pytest.approx(0.6, abs=1e-14)
+        assert rep.ball_radius == pytest.approx(0.36, abs=1e-14)
 
     def test_linear_in_drive(self):
+        # eta = 0.5 from the cap gamma0 / (2 p_max)
         c1 = AssumptionConstants(l_hu_low=1.0, l_hu_high=1.0, d_sigma=1.0)
         c2 = AssumptionConstants(l_hu_low=1.0, l_hu_high=1.0, d_sigma=2.0)
-        P = np.eye(2)
-        a1, s1 = ultimate_bound(0.1, 0.5, c1, P)
-        a2, s2 = ultimate_bound(0.1, 0.5, c2, P)
-        assert a2 == pytest.approx(2 * a1, rel=1e-12)
-        assert s2 == pytest.approx(2 * s1, rel=1e-12)
+        r1, r2 = (BoundReport(c, 1.0, 0.0, 0.0, 1.0, 1.0, 0.1) for c in (c1, c2))
+        assert r2.ultimate_appendix == pytest.approx(2 * r1.ultimate_appendix, rel=1e-12)
+        assert r2.ultimate_statement == pytest.approx(2 * r1.ultimate_statement, rel=1e-12)
 
-    def test_nonpositive_eta_rejected(self):
-        c = AssumptionConstants()
-        with pytest.raises(EtaNonpositive):
-            ultimate_bound(0.1, 0.0, c, np.eye(2))
+    def test_nonpositive_eta_rejected(self, synthetic_core, synthetic_plant):
+        # eta = min(1 / 2, 1 / 0.5 - 2) = 0 at epsilon = eps_max, and eta < 0 past eps_max
+        c = AssumptionConstants(d_sigma=1.0)
+        rep = bound_report(synthetic_core, synthetic_plant.constants)
+        for r in (BoundReport(c, 1.0, 2.0, 0.0, 1.0, 1.0, 0.5),
+                  bound_report(synthetic_core, synthetic_plant.constants, epsilon=2 * rep.eps_max)):
+            assert not r.eta(r.epsilon) > 0
+            assert r.ultimate_appendix is None
+            assert r.ultimate_statement is None
+            assert r.ball_radius is None
 
     def test_nan_eta_rejected(self):
-        c = AssumptionConstants()
-        with pytest.raises(EtaNonpositive):
-            ultimate_bound(0.1, math.nan, c, np.eye(2))
+        # a NaN gamma0 makes eta NaN, which is not positive
+        r = BoundReport(AssumptionConstants(d_sigma=1.0), math.nan, 0.0, 0.0, 1.0, 1.0, 0.1)
+        assert math.isnan(r.eta(0.1))
+        assert r.ultimate_appendix is None and r.ultimate_statement is None and r.ball_radius is None
 
 
 class TestBoundReport:
@@ -204,6 +206,20 @@ class TestCertificate:
         assert cert.ball_radius is not None and cert.ball_radius > 0
         assert cert.stays_in_ball is True
         assert cert.entered_ball_at is not None
+
+    def test_ball_matches_report(self, synthetic_trace, synthetic_core, synthetic_plant):
+        core, plant = synthetic_core, synthetic_plant
+        eps_max = bound_report(core, plant.constants).eps_max
+        rep = bound_report(core, plant.constants, epsilon=eps_max / 2)
+        cert = lyapunov_certificate(synthetic_trace, core, plant, epsilon=eps_max / 2)
+        assert cert.ball_radius == rep.ball_radius
+        # the ball is the square of the statement form, up to round-off
+        assert cert.ball_radius == pytest.approx(rep.ultimate_statement**2, rel=1e-12)
+
+        cert = lyapunov_certificate(synthetic_trace, core, plant, epsilon=2 * eps_max)
+        assert cert.ball_radius is None
+        assert cert.entered_ball_at is None and cert.stays_in_ball is None
+        assert len(cert.V) == len(synthetic_trace) and np.all(np.isfinite(cert.V))
 
     def test_delayed_plant_rejected(self, synthetic_core, synthetic_trace):
         plant = delayed_input_lti(0.05, g=1.0)

@@ -287,13 +287,16 @@ class TestExitCodes:
         *[("bound", lambda raw, value=value: raw.update(constants=value), [], EXIT_CONFIG,
            "config error: field 'constants' must be a JSON object\n")
           for value in (False, 0, "", [], None)],
+        # the dead zone's h has slope 0 on |u| < mu, so no constants hold
+        ("bound", lambda raw: raw.update(load_scenario("deadzone").raw), [], EXIT_CONSTANTS,
+         "missing constants:"),
     ], ids=["verify_diverges", "design_fault", "unknown_kind", "no_select", "no_gain",
             "bad_constants", "not_json", "unknown_field", "path_through_number",
             "mistyped_leaf", "design_checks_sim", "bound_fault_before_constants",
             "unknown_plant_field", "unknown_sim_field", "unknown_design_field",
             "unknown_saturation_field", "unknown_top_level_field", "both_K_and_poles",
             "constants_false", "constants_zero", "constants_empty_string", "constants_list",
-            "constants_null"])
+            "constants_null", "deadzone_bound"])
     def test_exit_path(self, tmp_path, capsys, command, edit, overrides, code, prefix):
         # edit is None for the bundled siso, a str for a file's text, or a
         # function that changes siso's raw scenario before it is written

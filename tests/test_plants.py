@@ -14,13 +14,12 @@ from asdinv import (
     SingularInertia,
     Uncontrollable,
     UncertainPlant,
+    bound_report,
     build_core,
     controllability_rank,
     dead_zone,
     delayed_input_lti,
-    eta,
     f16_rollyaw,
-    gammas,
     hsu_siso,
     pi_gains,
     quadrotor_attitude,
@@ -216,6 +215,11 @@ class TestWrappers:
         with pytest.raises(ValueError):
             dead_zone(0.0)
 
+    def test_dead_zone_drops_constants(self):
+        # h has slope 0 on |u| < mu, so the wrapped plant's l_hu_low no longer holds
+        assert synthetic_lti().constants is not None
+        assert dead_zone(0.1)(synthetic_lti()).constants is None
+
     def test_delayed_plant_flags(self):
         p = delayed_input_lti(0.05, g=1.0)
         assert p.input_delay == 0.05
@@ -229,8 +233,7 @@ INF = float("inf")
 
 
 def _eta_at(core, epsilon):
-    c = synthetic_lti().constants
-    return eta(epsilon, *gammas(core, c), c, core.P)
+    return bound_report(core, synthetic_lti().constants).eta(epsilon)
 
 
 class TestNanParameters:
