@@ -7,12 +7,14 @@ Runs design, simulate, verify and bound on the 7 bundled scenarios, once
 per checkout (OTHER_SRC, then this checkout's src/), each command as one
 subprocess `python -m asdinv.cli <cmd> --scenario <all 7> --out <tmp>/<side>/<cmd>`
 with PYTHONPATH set to that src and BLAS on one thread. Then runs each of
-the 11 EDGE_CASES as one subprocess: a stiff verify that diverges, a
+the 16 EDGE_CASES as one subprocess: a stiff verify that diverges, a
 diverging simulate, a design fault, a rejected epsilon, an integer t_final,
 an integer epsilon and saturation bounds, an epsilon that overflows a
 float (1e999), a 2x2 quadrotor inertia, a flat quadrotor K, a
-design.select that is not a list, and a bound past eps_max (eta < 0, so
-both ultimate bounds are null).
+design.select that is not a list, a bound past eps_max (eta < 0, so
+both ultimate bounds are null), and one design failure each for poles that
+are not Hurwitz, a complex spectrum, a gain of the wrong shape, too few
+selected eigenvalues and a singular C^T B.
 Compares the exit codes, stdout, stderr and every output file, with each
 side's src and output paths replaced by placeholders, and each warning's
 `<file>:<line>:` location and the source line echoed below it scrubbed, so
@@ -43,6 +45,11 @@ EDGE_CASES = (
     ("design", "--scenario", "quadrotor", "--set", "design.K=[0,0,0,0,0,0,0,0,0]"),
     ("design", "--scenario", "siso", "--set", "design.select=1"),
     ("bound", "--scenario", "synthetic", "--set", "epsilon=0.05"),
+    ("design", "--scenario", "siso", "--set", "design.poles=[1.0,-2.0,-3.0]"),
+    ("design", "--scenario", "f16", "--set", "design.K=[[0,0],[0,0],[0,0],[0,0]]"),
+    ("design", "--scenario", "f16", "--set", "design.K=[[0,0]]"),
+    ("design", "--scenario", "f16", "--set", "design.select=[-1.0]"),
+    ("design", "--scenario", "quadrotor", "--set", "design.select=[-1.0,-1.0,-15.0]"),
 )
 # "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
 WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)

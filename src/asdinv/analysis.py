@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .asd_design import LinearCore
-from .errors import UnknownUncertainty
 from .numlin import CERT_ATOL
 from .plants import AssumptionConstants, UncertainPlant
 from .sim import Trace, entry_time
@@ -180,7 +179,7 @@ def lyapunov_certificate(
     constant; without them only the series is returned.
     """
     if plant.input_delay > 0:
-        raise UnknownUncertainty("certificate needs an undelayed input map")
+        raise ValueError("certificate needs an undelayed input map")
     P, X = core.P, trace.x
     vs = plant.mismatch(trace.t, X, trace.u) - X @ core.K
     V = np.einsum("ij,jk,ik->i", X, P, X) + np.einsum("ij,ij->i", vs, vs)
@@ -214,7 +213,7 @@ def sample_constants(
     """
     fd_step = 1e-6
     if plant.input_delay > 0:
-        raise UnknownUncertainty("sampler needs an undelayed input map")
+        raise ValueError("sampler needs an undelayed input map")
     m, n = plant.m, plant.n
     rng = np.random.default_rng(0)
     us = rng.uniform(-u_scale, u_scale, size=(grid, m))

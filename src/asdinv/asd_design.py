@@ -16,16 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    LyapunovFailure,
-    MultiInput,
-    SelectionNotEigenvalue,
-    SingularCB,
-    SingularSystem,
-    Uncontrollable,
-    Unstable,
-)
+from .errors import DesignError
 from .numlin import IDENTITY_RTOL, RANK_RTOL, SELECT_RTOL
 from .numlin import ackermann_gain, controllability_rank, real_eig, solve_lyapunov
 
@@ -76,9 +67,9 @@ class LinearCore:
 
     @cached_property
     def CtB_inv(self) -> np.ndarray:
-        """(C^T B)^-1, once per core; SingularCB unless theorem1 finds C^T B invertible."""
+        """(C^T B)^-1, once per core; DesignError unless theorem1 finds C^T B invertible."""
         if not self.theorem1.checks["ctb_invertible"]:
-            raise SingularCB("C^T B is numerically singular")
+            raise DesignError("C^T B is numerically singular")
         return np.linalg.inv(self.CtB)
 
     @property
@@ -135,31 +126,31 @@ def build_core(
         B = B.reshape(-1, 1)
     n, m = B.shape
     if A0.shape != (n, n):
-        raise DimensionMismatch(f"A0 shape {A0.shape} inconsistent with B {B.shape}")
+        raise DesignError(f"A0 shape {A0.shape} inconsistent with B {B.shape}")
     if controllability_rank(A0, B) < n:
-        raise Uncontrollable("(A0, B) is not controllable")
+        raise DesignError("(A0, B) is not controllable")
 
     K_arr = np.asarray(K_or_poles, dtype=float)
     if K_arr.ndim == 2 and K_arr.shape == (n, m):
         K = K_arr
     elif K_arr.ndim <= 1 and K_arr.size == n:
         if m != 1:
-            raise MultiInput("pole placement only covers single-input plants")
+            raise DesignError("pole placement only covers single-input plants")
         K = ackermann_gain(A0, B, K_arr.ravel())
     else:
-        raise DimensionMismatch(
+        raise DesignError(
             f"K_or_poles must be an {n}x{m} gain or {n} poles, got shape {K_arr.shape}"
         )
 
     A = A0 + B @ K.T
-    pairs = real_eig(A)  # raises ComplexSpectrum
+    pairs = real_eig(A)  # raises DesignError on a complex spectrum
     spectrum = np.array([p.value for p in pairs])
     if np.any(spectrum >= 0):
-        raise Unstable(f"A = A0 + B K^T is not Hurwitz: spectrum {spectrum.tolist()}")
+        raise DesignError(f"A = A0 + B K^T is not Hurwitz: spectrum {spectrum.tolist()}")
 
     selected = list(selected_eigs)
     if len(selected) != m:
-        raise SelectionNotEigenvalue(f"need {m} selected eigenvalues, got {len(selected)}")
+        raise DesignError(f"need {m} selected eigenvalues, got {len(selected)}")
     # nearest unused eigenvalue, first index on a tie; a NaN error never passes
     tol = SELECT_RTOL * max(np.max(np.abs(spectrum)), 1.0)
     picks: list[int] = []
@@ -168,7 +159,7 @@ def build_core(
         err[picks] = np.inf
         i = int(np.argmin(err))
         if not err[i] <= tol:
-            raise SelectionNotEigenvalue(
+            raise DesignError(
                 f"{want} is not an (unused) eigenvalue of A; spectrum "
                 f"{[round(p.value, 6) for p in pairs]}"
             )
@@ -177,20 +168,17 @@ def build_core(
     Lam = np.diag(-spectrum[picks])
 
     M = np.eye(n)
-    try:
-        P = solve_lyapunov(A, M)
-    except (SingularSystem, Unstable) as exc:
-        raise LyapunovFailure(str(exc)) from exc
+    P = solve_lyapunov(A, M)
 
     core = LinearCore(n=n, m=m, A0=A0, B=B, K=K, A=A, C=C, Lam=Lam, P=P, M=M)
     report = core.theorem1
     if not report.checks["ctb_invertible"]:
-        raise SingularCB(
+        raise DesignError(
             f"sigma_min(C^T B) <= {RANK_RTOL:.0e} ||C|| ||B||; "
             "the selected eigenvectors do not give an invertible transfer path"
         )
     if not report.checks["output_identity"]:
-        raise SelectionNotEigenvalue(
+        raise DesignError(
             f"C^T A + Lambda C^T residual {report.theorem1_residual:.3e} exceeds tolerance"
         )
     return core

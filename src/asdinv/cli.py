@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, asd_design, plants, sim
 from .controller_rt import ControllerSpec, closed_realization, make_controller, pi_gains, x_to_u_response
-from .errors import AsdinvError, ConfigError, MissingConstants, NonFiniteState, SingularInertia
+from .errors import AsdinvError, ConfigError, MissingConstants, NonFiniteState
 from .numlin import FREQ_ULPS, TRAJ_RTOL, as_float
 
 EXIT_OK = 0
@@ -131,7 +131,7 @@ def build_plant(sc: Scenario) -> plants.UncertainPlant:
         raise ConfigError(f"field 'plant.kind': unknown kind {kind!r}")
     try:
         return _PLANTS[kind](**cfg)
-    except (TypeError, ValueError, SingularInertia) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad plant configuration for kind {kind!r}: {exc}") from exc
 
 

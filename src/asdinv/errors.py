@@ -1,59 +1,16 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library: one class per way a
+command ends (see cli._run_one). Bad arguments raise ValueError."""
 
 
 class AsdinvError(Exception):
     """Base class for all library-specific errors."""
 
 
-# --- linear algebra kernel ---
+class DesignError(AsdinvError):
+    """The paper's design preconditions fail: (A0, B) controllable,
+    A = A0 + B K^T Hurwitz with a real spectrum, C^T B invertible, or a
+    numerical residual check of the design."""
 
-class NonSquare(AsdinvError):
-    pass
-
-
-class DimensionMismatch(AsdinvError):
-    pass
-
-
-class ComplexSpectrum(AsdinvError):
-    """The spectrum has an imaginary part of at least numlin.EIG_RTOL."""
-
-
-class Unstable(AsdinvError):
-    """A matrix required to be Hurwitz is not."""
-
-
-class SingularSystem(AsdinvError):
-    """The Kronecker-sum Lyapunov system is singular or the solve failed."""
-
-
-class Uncontrollable(AsdinvError):
-    pass
-
-
-class MultiInput(AsdinvError):
-    """Ackermann only covers single-input systems; supply the gain directly."""
-
-
-# --- design / decomposition ---
-
-class SelectionNotEigenvalue(AsdinvError):
-    """A requested eigenvalue is not in the computed spectrum."""
-
-
-class SingularCB(AsdinvError):
-    """C^T B fails asd_design.ctb_invertible; the transfer path is not invertible."""
-
-
-class LyapunovFailure(AsdinvError):
-    pass
-
-
-class UnknownUncertainty(AsdinvError):
-    """The plant does not expose evaluable uncertainty terms."""
-
-
-# --- runtime ---
 
 class NonFiniteState(AsdinvError):
     """Closed-loop divergence. Carries the blow-up time and partial trace."""
@@ -64,21 +21,9 @@ class NonFiniteState(AsdinvError):
         self.trace = trace
 
 
-class EmptyTrace(AsdinvError):
-    pass
-
-
-class SingularInertia(AsdinvError):
-    pass
-
-
-# --- analysis ---
-
 class MissingConstants(AsdinvError):
     pass
 
-
-# --- cli ---
 
 class ConfigError(AsdinvError):
     """Malformed or inconsistent scenario configuration."""

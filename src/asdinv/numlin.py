@@ -18,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ComplexSpectrum,
-    DimensionMismatch,
-    MultiInput,
-    NonSquare,
-    SingularSystem,
-    Uncontrollable,
-    Unstable,
-)
+from .errors import DesignError
 
 __all__ = [
     "EigenPair",
@@ -69,7 +61,7 @@ class EigenPair:
 def _require_finite(M: np.ndarray, name: str) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
-        raise DimensionMismatch(f"{name} contains non-finite entries")
+        raise DesignError(f"{name} contains non-finite entries")
     return M
 
 
@@ -125,11 +117,11 @@ def real_eig(A: np.ndarray) -> list[EigenPair]:
     block diagonal the decomposition is computed per block so repeated
     eigenvalues of decoupled blocks get block-local eigenvectors.
 
-    Raises ComplexSpectrum if any eigenvalue has |imag| >= EIG_RTOL.
+    Raises DesignError if any eigenvalue has |imag| >= EIG_RTOL.
     """
     A = _require_finite(A, "A")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {A.shape}")
+        raise DesignError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
 
     pairs: list[EigenPair] = []
@@ -138,7 +130,7 @@ def real_eig(A: np.ndarray) -> list[EigenPair]:
         w, V = np.linalg.eig(sub.T)
         if np.any(np.abs(w.imag) >= EIG_RTOL):
             bad = w[np.argmax(np.abs(w.imag))]
-            raise ComplexSpectrum(f"eigenvalue {bad} has imaginary part >= {EIG_RTOL}")
+            raise DesignError(f"eigenvalue {bad} has imaginary part >= {EIG_RTOL}")
         w = w.real
         V = V.real
         scale = max(np.linalg.norm(A, 2), 1.0)
@@ -150,7 +142,7 @@ def real_eig(A: np.ndarray) -> list[EigenPair]:
             v = _fix_sign(v)
             resid = np.linalg.norm(A.T @ v - w[k] * v)
             if resid > EIG_RTOL * scale:
-                raise ComplexSpectrum(
+                raise DesignError(
                     f"eigenpair residual {resid:.3e} exceeds {EIG_RTOL:.1e}*||A||"
                 )
             pairs.append(EigenPair(float(w[k]), v))
@@ -173,15 +165,15 @@ def solve_lyapunov(A_cl: np.ndarray, M: np.ndarray) -> np.ndarray:
     A_cl = _require_finite(A_cl, "A_cl")
     M = _require_finite(M, "M")
     if A_cl.ndim != 2 or A_cl.shape[0] != A_cl.shape[1]:
-        raise NonSquare(f"A_cl must be square, got {A_cl.shape}")
+        raise DesignError(f"A_cl must be square, got {A_cl.shape}")
     if M.shape != A_cl.shape:
-        raise DimensionMismatch(f"M shape {M.shape} != A_cl shape {A_cl.shape}")
+        raise DesignError(f"M shape {M.shape} != A_cl shape {A_cl.shape}")
     if not np.allclose(M, M.T, rtol=0, atol=SYM_RTOL * max(np.linalg.norm(M), 1.0)):
-        raise SingularSystem("M is not symmetric")
+        raise DesignError("M is not symmetric")
     if np.min(np.linalg.eigvalsh((M + M.T) / 2)) <= 0:
-        raise SingularSystem("M is not positive definite")
+        raise DesignError("M is not positive definite")
     if not is_hurwitz(A_cl):
-        raise Unstable("A_cl is not Hurwitz")
+        raise DesignError("A_cl is not Hurwitz")
 
     n = A_cl.shape[0]
     eye = np.eye(n)
@@ -190,14 +182,14 @@ def solve_lyapunov(A_cl: np.ndarray, M: np.ndarray) -> np.ndarray:
     try:
         p = np.linalg.solve(L, -M.flatten(order="F"))
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"Kronecker-sum solve failed: {exc}") from exc
+        raise DesignError(f"Kronecker-sum solve failed: {exc}") from exc
     P = p.reshape((n, n), order="F")
     P = (P + P.T) / 2.0
 
     resid = np.linalg.norm(P @ A_cl + A_cl.T @ P + M)
     budget = LYAP_RTOL * (np.linalg.norm(P) * np.linalg.norm(A_cl) + np.linalg.norm(M))
     if resid > budget:
-        raise SingularSystem(
+        raise DesignError(
             f"Lyapunov residual {resid:.3e} exceeds budget {budget:.3e}"
         )
     return P
@@ -216,9 +208,9 @@ def controllability_rank(A: np.ndarray, B: np.ndarray) -> int:
     A = _require_finite(A, "A")
     B = _require_finite(B, "B")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NonSquare(f"A must be square, got {A.shape}")
+        raise DesignError(f"A must be square, got {A.shape}")
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
-        raise DimensionMismatch(f"B shape {B.shape} incompatible with A {A.shape}")
+        raise DesignError(f"B shape {B.shape} incompatible with A {A.shape}")
     ctrb = _ctrb(A, B)
     # normalize columns before the SVD: A^k B grows like |lambda|^k and the
     # raw matrix can look rank-deficient at n = 9 even for controllable pairs
@@ -242,15 +234,15 @@ def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
     if b.ndim == 1:
         b = b.reshape(-1, 1)
     if b.shape[1] != 1:
-        raise MultiInput(
+        raise DesignError(
             f"b has {b.shape[1]} columns; supply K explicitly for multi-input plants"
         )
     poles = np.asarray(poles, dtype=float)
     n = A0.shape[0]
     if poles.size != n:
-        raise DimensionMismatch(f"need {n} poles, got {poles.size}")
+        raise DesignError(f"need {n} poles, got {poles.size}")
     if controllability_rank(A0, b) < n:
-        raise Uncontrollable("(A0, b) is not controllable")
+        raise DesignError("(A0, b) is not controllable")
 
     coeffs = np.poly(poles)  # monic desired characteristic polynomial
     pA = np.zeros_like(A0)
@@ -267,7 +259,7 @@ def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
     scale = max(np.linalg.norm(A_cl, 2), 1.0)
     sigma_min = np.linalg.svd(A_cl - poles[:, None, None] * np.eye(n), compute_uv=False)[:, -1]
     if np.any(sigma_min > POLE_RTOL * scale):
-        raise Uncontrollable("pole placement verification failed")
+        raise DesignError("pole placement verification failed")
     return K
 
 

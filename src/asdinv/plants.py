@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SingularInertia, Uncontrollable
+from .errors import DesignError
 from .numlin import as_float, controllability_rank
 
 __all__ = [
@@ -90,7 +90,7 @@ class UncertainPlant:
         if A0.shape != (self.n, self.n) or B.shape != (self.n, self.m):
             raise ValueError("A0/B shapes inconsistent with (n, m)")
         if controllability_rank(A0, B) < self.n:
-            raise Uncontrollable(f"plant '{self.name}': (A0, B) is not controllable")
+            raise DesignError(f"plant '{self.name}': (A0, B) is not controllable")
 
     def mismatch(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """h(t, u, x) + sigma(t, x), the bracket multiplying B."""
@@ -193,9 +193,9 @@ class QuadrotorConfig:
             raise ValueError("actuator bandwidth must be positive")
         for name, J in (("J0", J0), ("J_true", Jt)):
             if J.shape != (3, 3) or not np.allclose(J, J.T):
-                raise SingularInertia(f"{name} must be 3x3 symmetric")
+                raise ValueError(f"{name} must be 3x3 symmetric")
             if np.min(np.linalg.eigvalsh(J)) <= 0:
-                raise SingularInertia(f"{name} must be positive definite")
+                raise ValueError(f"{name} must be positive definite")
 
 
 def quadrotor_attitude(cfg: QuadrotorConfig | None = None) -> UncertainPlant:
@@ -203,7 +203,10 @@ def quadrotor_attitude(cfg: QuadrotorConfig | None = None) -> UncertainPlant:
 
     The plant matrix already includes the stabilizing inner gain Kbar, so
     the outer design uses K = 0. Inertia mismatch enters as
-    h(t, u) = J^-1 J0 u and sigma(t, x) = (J^-1 J0 - I) Kbar^T x.
+    h(t, u) = G u and sigma(t, x) = (G - I) Kbar^T x with G = J^-1 J0, so
+    the assumption constants are l_hu_low = lambda_min(sym G),
+    l_hu_high = ||G|| and k_sigma = l_sigma_x = ||(G - I) Kbar^T||, the rest
+    0; the plant carries none where lambda_min(sym G) <= 0.
     """
     cfg = cfg or QuadrotorConfig()
     om = cfg.omega
@@ -216,6 +219,12 @@ def quadrotor_attitude(cfg: QuadrotorConfig | None = None) -> UncertainPlant:
 
     G = np.linalg.solve(cfg.J_true, cfg.J0)  # J^-1 J0
     Gm1_K = (G - np.eye(3)) @ Kbar.T
+    l_hu_low = float(np.linalg.eigvalsh((G + G.T) / 2)[0])
+    # lambda_min(sym G) <= ||G|| exactly, but rounding can reverse them when G ~ c I
+    l_hu_high = max(float(np.linalg.norm(G, 2)), l_hu_low)
+    k_sigma = float(np.linalg.norm(Gm1_K, 2))
+    consts = AssumptionConstants(l_hu_low=l_hu_low, l_hu_high=l_hu_high, k_sigma=k_sigma,
+                                 l_sigma_x=k_sigma) if l_hu_low > 0 else None
 
     def h(t, u, x):
         return G.dot(u.T).T
@@ -224,7 +233,7 @@ def quadrotor_attitude(cfg: QuadrotorConfig | None = None) -> UncertainPlant:
         return Gm1_K.dot(x.T).T
 
     return UncertainPlant(
-        "quadrotor_attitude", 9, 3, A0, B, h, sigma,
+        "quadrotor_attitude", 9, 3, A0, B, h, sigma, constants=consts,
         meta={"omega": om, "Kbar": Kbar, "J0": cfg.J0, "J_true": cfg.J_true},
     )
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .controller_rt import ControllerSpec, closed_realization, make_controller
-from .errors import EmptyTrace, NonFiniteState
+from .errors import NonFiniteState
 from .numlin import STIFF_DT_RHO, as_float, rk4_step
 from .plants import UncertainPlant
 
@@ -240,14 +240,14 @@ def simulate(
 def energy_index(trace: Trace) -> np.ndarray:
     """Cumulative total variation of u: E(t_k) = sum ||u_{j+1} - u_j||_1."""
     if len(trace) < 2:
-        raise EmptyTrace("energy index needs at least two samples")
+        raise ValueError("energy index needs at least two samples")
     du = np.sum(np.abs(np.diff(trace.u, axis=0)), axis=1)
     return np.concatenate([[0.0], np.cumsum(du)])
 
 
 def metrics(trace: Trace) -> Metrics:
     if len(trace) == 0:
-        raise EmptyTrace("empty trace")
+        raise ValueError("empty trace")
     norms = np.linalg.norm(trace.x, axis=1)
     tail_start = int(np.floor(0.8 * len(norms)))
     sup_tail = float(np.max(norms[tail_start:]))

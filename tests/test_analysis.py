@@ -11,7 +11,6 @@ from asdinv import (
     BoundReport,
     QuadrotorConfig,
     SimConfig,
-    UnknownUncertainty,
     bound_report,
     build_core,
     dead_zone,
@@ -223,7 +222,7 @@ class TestCertificate:
 
     def test_delayed_plant_rejected(self, synthetic_core, synthetic_trace):
         plant = delayed_input_lti(0.05, g=1.0)
-        with pytest.raises(UnknownUncertainty):
+        with pytest.raises(ValueError, match=r"^certificate needs an undelayed input map$"):
             lyapunov_certificate(synthetic_trace, synthetic_core, plant)
 
 

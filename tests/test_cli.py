@@ -290,13 +290,21 @@ class TestExitCodes:
         # the dead zone's h has slope 0 on |u| < mu, so no constants hold
         ("bound", lambda raw: raw.update(load_scenario("deadzone").raw), [], EXIT_CONSTANTS,
          "missing constants:"),
+        # each design precondition that fails ends the command with exit 2
+        ("design", None, ["design.poles=[1.0,-2.0,-3.0]"], EXIT_CONFIG, "error:"),
+        *[("design", lambda raw, name=name: raw.update(load_scenario(name).raw), [override], EXIT_CONFIG,
+           "error:")
+          for name, override in (("f16", "design.K=[[0,0],[0,0],[0,0],[0,0]]"), ("f16", "design.K=[[0,0]]"),
+                                 ("f16", "design.select=[-1.0]"),
+                                 ("quadrotor", "design.select=[-1.0,-1.0,-15.0]"))],
     ], ids=["verify_diverges", "design_fault", "unknown_kind", "no_select", "no_gain",
             "bad_constants", "not_json", "unknown_field", "path_through_number",
             "mistyped_leaf", "design_checks_sim", "bound_fault_before_constants",
             "unknown_plant_field", "unknown_sim_field", "unknown_design_field",
             "unknown_saturation_field", "unknown_top_level_field", "both_K_and_poles",
             "constants_false", "constants_zero", "constants_empty_string", "constants_list",
-            "constants_null", "deadzone_bound"])
+            "constants_null", "deadzone_bound", "not_hurwitz", "complex_spectrum", "gain_shape",
+            "selection_count", "singular_ctb"])
     def test_exit_path(self, tmp_path, capsys, command, edit, overrides, code, prefix):
         # edit is None for the bundled siso, a str for a file's text, or a
         # function that changes siso's raw scenario before it is written

@@ -11,8 +11,7 @@ from asdinv import (
     ControllerSpec,
     QuadrotorConfig,
     SimConfig,
-    SingularInertia,
-    Uncontrollable,
+    DesignError,
     UncertainPlant,
     bound_report,
     build_core,
@@ -160,10 +159,39 @@ class TestQuadrotor:
         want = (1.0 / 1.3 - 1.0) * (Kbar.T @ x)
         np.testing.assert_allclose(p.sigma(0.0, x), want, atol=1e-12)
 
+    def test_constants_match_sampler(self):
+        # J = 1.3 J0: G = I / 1.3, so l_hu_low = l_hu_high = 1/1.3 and
+        # k_sigma = l_sigma_x = (1 - 1/1.3) ||Kbar^T||
+        p = quadrotor_attitude(QuadrotorConfig(J_true=1.3 * np.diag([0.03, 0.03, 0.04])))
+        c = p.constants
+        est = sample_constants(p, u_scale=10.0)
+        assert c.l_hu_low == pytest.approx(est["l_hu_low_est"], rel=1e-6)
+        assert c.l_hu_high == pytest.approx(est["l_hu_high_est"], rel=1e-6)
+        k_sigma = (1.0 - 1.0 / 1.3) * np.linalg.norm(p.meta["Kbar"].T, 2)
+        assert c.k_sigma == c.l_sigma_x == pytest.approx(k_sigma, rel=1e-12)
+        assert c.l_ht == c.delta_sigma == c.l_sigma_t == c.d_sigma == 0.0
+        assert est["l_ht_est"] == est["sigma_t_est"] == est["sigma_at_zero_est"] == 0.0
+
+    def test_indefinite_input_gain_carries_no_constants(self):
+        # an SPD J_true whose G = J^-1 J0 has an indefinite symmetric part
+        J0 = np.diag([0.01, 1.0, 0.01])
+        J_true = np.array([[0.02, 0.0, 0.0], [0.0, 1.0, 0.09], [0.0, 0.09, 0.01]])
+        G = np.linalg.solve(J_true, J0)
+        assert np.linalg.eigvalsh((G + G.T) / 2)[0] == pytest.approx(-18.66, abs=0.01)
+        assert quadrotor_attitude(QuadrotorConfig(J0=J0, J_true=J_true)).constants is None
+
+    def test_rounding_keeps_constants_ordered(self):
+        # G = I / 1.3 up to rounding, which here puts lambda_min(sym G) above ||G||
+        J0 = np.array([[0.03, 0.005, 0.001], [0.005, 0.01, 0.002], [0.001, 0.002, 0.01]])
+        G = np.linalg.solve(1.3 * J0, J0)
+        assert np.linalg.eigvalsh((G + G.T) / 2)[0] > np.linalg.norm(G, 2)
+        c = quadrotor_attitude(QuadrotorConfig(J0=J0, J_true=1.3 * J0)).constants
+        assert c.l_hu_low == c.l_hu_high == pytest.approx(1.0 / 1.3, rel=1e-12)
+
     def test_bad_inertia_rejected(self):
-        with pytest.raises(SingularInertia):
+        with pytest.raises(ValueError, match=r"^J0 must be positive definite$"):
             QuadrotorConfig(J0=np.zeros((3, 3)))
-        with pytest.raises(SingularInertia):
+        with pytest.raises(ValueError, match=r"^J_true must be positive definite$"):
             QuadrotorConfig(J_true=-np.diag([0.03, 0.03, 0.04]))
 
 
@@ -322,7 +350,7 @@ class TestBoolParameters:
 
 class TestPlantInterface:
     def test_uncontrollable_pair_rejected(self):
-        with pytest.raises(Uncontrollable):
+        with pytest.raises(DesignError, match=r"^plant 'bad': \(A0, B\) is not controllable$"):
             UncertainPlant(
                 "bad", 2, 1,
                 np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]),

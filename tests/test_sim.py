@@ -9,7 +9,6 @@ import pytest
 
 from asdinv import cli, sim
 from asdinv import (
-    EmptyTrace,
     NonFiniteState,
     SimConfig,
     Trace,
@@ -495,7 +494,7 @@ class TestMetrics:
         z = np.zeros((1, 1))
         tr = Trace(t=np.zeros(1), x=z, u=z, y=z, d_hat=z,
                    sat=np.zeros(1, dtype=bool))
-        with pytest.raises(EmptyTrace):
+        with pytest.raises(ValueError, match=r"^energy index needs at least two samples$"):
             energy_index(tr)
 
     def test_metrics_fields(self, siso_trace):
