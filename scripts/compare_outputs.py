@@ -7,19 +7,21 @@ Runs design, simulate, verify and bound on the 7 bundled scenarios, once
 per checkout (OTHER_SRC, then this checkout's src/), each command as one
 subprocess `python -m asdinv.cli <cmd> --scenario <all 7> --out <tmp>/<side>/<cmd>`
 with PYTHONPATH set to that src and BLAS on one thread. Then runs each of
-the 16 EDGE_CASES as one subprocess: a stiff verify that diverges, a
+the 17 EDGE_CASES as one subprocess: a stiff verify that diverges, a
 diverging simulate, a design fault, a rejected epsilon, an integer t_final,
 an integer epsilon and saturation bounds, an epsilon that overflows a
 float (1e999), a 2x2 quadrotor inertia, a flat quadrotor K, a
 design.select that is not a list, a bound past eps_max (eta < 0, so
 both ultimate bounds are null), and one design failure each for poles that
 are not Hurwitz, a complex spectrum, a gain of the wrong shape, too few
-selected eigenvalues and a singular C^T B.
+selected eigenvalues and a singular C^T B, and a verify whose scenario
+run is the observer with its decomposition states (quadrotor).
 Compares the exit codes, stdout, stderr and every output file, with each
 side's src and output paths replaced by placeholders, and each warning's
 `<file>:<line>:` location and the source line echoed below it scrubbed, so
 that moving code does not show as a difference. Prints the items that
-differ and exits 1 when any do. Takes about a minute per side.
+differ, then each side's line total of src/asdinv/*.py, and exits 1 when
+any item differs. Takes about a minute per side.
 """
 
 import os
@@ -50,6 +52,7 @@ EDGE_CASES = (
     ("design", "--scenario", "f16", "--set", "design.K=[[0,0]]"),
     ("design", "--scenario", "f16", "--set", "design.select=[-1.0]"),
     ("design", "--scenario", "quadrotor", "--set", "design.select=[-1.0,-1.0,-15.0]"),
+    ("verify", "--scenario", "quadrotor", "--set", "realization=observer", "--set", "sim.t_final=0.5"),
 )
 # "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
 WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)
@@ -84,12 +87,17 @@ def run_side(src: Path, out: Path) -> dict:
     return items
 
 
+def src_lines(src: Path) -> int:
+    return sum(len(path.read_bytes().splitlines()) for path in (src / "asdinv").glob("*.py"))
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
+    other_src = Path(sys.argv[1]).resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        other = run_side(Path(sys.argv[1]).resolve(), Path(tmp) / "other")
+        other = run_side(other_src, Path(tmp) / "other")
         this = run_side(SRC, Path(tmp) / "this")
     names = sorted(other.keys() | this.keys())
     differ = [name for name in names if other.get(name) != this.get(name)]
@@ -98,6 +106,7 @@ def main() -> int:
         print(f"differs: {name}{missing}")
     print(f"{len(COMMANDS)} commands x {len(BUNDLED)} scenarios and {len(EDGE_CASES)} edge cases: "
           f"{len(names)} items compared, {len(differ)} differ")
+    print(f"src/asdinv/*.py lines: {src_lines(other_src)} in OTHER_SRC, {src_lines(SRC)} here")
     return 1 if differ else 0
 
 

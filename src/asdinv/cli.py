@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, asd_design, plants, sim
-from .controller_rt import ControllerSpec, closed_realization, make_controller, pi_gains, x_to_u_response
+from .controller_rt import ControllerSpec, pi_gains, x_to_u_response
 from .errors import AsdinvError, ConfigError, MissingConstants, NonFiniteState
 from .numlin import FREQ_ULPS, TRAJ_RTOL, as_float
 
@@ -247,6 +247,8 @@ def cmd_simulate(sc: Scenario, plant, core, spec, cfg, args) -> int:
     out = _out_dir(args, sc)
     try:
         trace = sim.simulate(plant, spec, cfg, scenario_name=sc.name)
+    except ValueError as exc:  # the recorded samples would not fit simulate's byte budget
+        raise ConfigError(f"bad 'sim' section: {exc}") from exc
     except NonFiniteState as exc:
         _write_json(out / "summary.json", {
             "scenario": sc.name, "diverged": True, "blowup_time": exc.blowup_time,
@@ -287,6 +289,8 @@ def cmd_verify(sc: Scenario, plant, core, spec, cfg, args) -> int:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 traces.append(sim.simulate(plant, run_spec, cfg, decomposed, scenario_name=sc.name))
+        except ValueError as exc:  # as in cmd_simulate
+            raise ConfigError(f"bad 'sim' section: {label} run: {exc}") from exc
         except NonFiniteState as exc:
             raise NonFiniteState(f"{label} run: {exc}", blowup_time=exc.blowup_time, trace=exc.trace)
         finally:
@@ -306,13 +310,14 @@ def cmd_verify(sc: Scenario, plant, core, spec, cfg, args) -> int:
     checks["realization_equivalence"] = du <= TRAJ_RTOL * uscale
 
     # the responses agree to round-off amplified by cond(jwI - F_cl) of the
-    # closed realizations, which grows as epsilon and omega shrink
+    # closed realizations, which grows as epsilon and omega shrink; each spec
+    # builds its closed realization once, for its response and for this bound
     omegas = np.logspace(-2, 2, 20)
     H_pi, H_ob = (x_to_u_response(s, omegas) for s in (wide, wide_obs))
     dH = np.max(np.abs(H_pi - H_ob))
     hscale = max(np.max(np.abs(H_pi)), 1e-30)
-    F_cls = [closed_realization(make_controller(s)).F for s in (wide, wide_obs)]
-    cond = max(np.linalg.cond(1j * omegas[:, None, None] * np.eye(len(F)) - F).max() for F in F_cls)
+    cond = max(np.linalg.cond(1j * omegas[:, None, None] * np.eye(len(F)) - F).max()
+               for F in (wide.closed_realization.F, wide_obs.closed_realization.F))
     detail["frequency_response_relative"] = float(dH / hscale)
     detail["frequency_response_tolerance"] = FREQ_ULPS * np.finfo(float).eps * cond
     checks["frequency_response_match"] = dH <= detail["frequency_response_tolerance"] * hscale

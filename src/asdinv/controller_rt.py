@@ -13,14 +13,17 @@ F = [[-Lam, 0], [-I/eps, -I/eps]], Gx = [[0], [C^T/eps]], Gu = [[C^T B], [0]],
 H = -(C^T B)^-1 [-I/eps, Lam - I/eps], D = -(C^T B)^-1 C^T/eps.
 
 The quadruple gives the frequency response; the simulator runs
-`unsat_output` (H s + D x) and `derivative` (F s + Gx x + Gu u) on
-v = `measure(x)`, x or C^T x, in the textbook arithmetic of each form.
-Tests tie the two together.
+`unsat_output(s, v)` (H s + D x) and `derivative(s, v, u)`
+(F s + Gx x + Gu u) on v = `measure(x)`, x or C^T x, in the textbook
+arithmetic of each form. Tests tie the two together. Each class sets its
+quadruple, `state_dim`, `measure` and the fields its maps read; a
+ControllerSpec builds its closed realization once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,30 +71,20 @@ class ControllerSpec:
         if self.realization_kind not in _REALIZATIONS:
             raise ValueError(f"unknown realization {self.realization_kind!r}")
 
-
-class _ControllerBase:
-    """A realization (F, Gx, Gu, H, D) and its runtime maps.
-
-    Subclasses set the quadruple, `measure(x)` = v, the signal the
-    realization reads (x itself for PI, y = C^T x for the observer), and
-    the runtime maps on it: `unsat_output(s, v)` = u, `derivative(s, v, u)` = s'.
-    """
-
-    def __init__(self, spec: ControllerSpec):
-        self.eps = spec.epsilon
-        self.m = spec.core.m
-        self.state_dim = self.F.shape[0]
+    @cached_property
+    def closed_realization(self) -> LtiRealization:
+        """closed_realization(make_controller(self)), built once per spec."""
+        return closed_realization(make_controller(self))
 
 
-class PiController(_ControllerBase):
+class PiController:
     """Closed PI realization driven by the full state x."""
 
     def __init__(self, spec: ControllerSpec):
         self.Kp, self.Ki = pi_gains(spec.core, spec.epsilon)
-        m = spec.core.m
+        m = self.state_dim = spec.core.m
         self.F, self.Gx, self.Gu = np.zeros((m, m)), self.Ki, np.zeros((m, m))
         self.H, self.D = -np.eye(m), -self.Kp
-        super().__init__(spec)
 
     def unsat_output(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
         return self.D.dot(x) - s
@@ -102,7 +95,7 @@ class PiController(_ControllerBase):
     measure = staticmethod(lambda x: x)  # PI reads x itself
 
 
-class ObserverController(_ControllerBase):
+class ObserverController:
     """Observer realization driven by the redefined output y = C^T x.
 
     State layout: [y_p (m), w (m)].
@@ -111,6 +104,7 @@ class ObserverController(_ControllerBase):
     def __init__(self, spec: ControllerSpec):
         core, eps = spec.core, spec.epsilon
         m, n, lam = core.m, core.n, core.lam_diag
+        self.eps, self.m, self.state_dim = eps, m, 2 * m
         self.CtB = core.CtB
         self._Ct = core.C.T
         self.measure = self._Ct.dot  # y = C^T x
@@ -123,7 +117,6 @@ class ObserverController(_ControllerBase):
         self.Gu = np.vstack((self.CtB, Z))
         self.H = self._neg_CtB_inv @ np.hstack((-I / eps, core.Lam - I / eps))
         self.D = self._neg_CtB_inv @ self._Ct / eps
-        super().__init__(spec)
 
     def unsat_output(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
         m = self.m
@@ -143,7 +136,7 @@ def make_controller(spec: ControllerSpec):
     return _REALIZATIONS[spec.realization_kind](spec)
 
 
-def closed_realization(c: _ControllerBase) -> LtiRealization:
+def closed_realization(c: PiController | ObserverController) -> LtiRealization:
     """The unsaturated x -> u map of a built controller: u = H s + D x closed
     around s' = F s + Gx x + Gu u, i.e. D + H (sI - F - Gu H)^-1 (Gx + Gu D)."""
     return LtiRealization(F=c.F + c.Gu @ c.H, G_in=c.Gx + c.Gu @ c.D, H=c.H, D=c.D)
@@ -155,4 +148,4 @@ def x_to_u_response(spec: ControllerSpec, omegas) -> np.ndarray:
     Evaluates the closed realization at all s = j omega at once; comparing the
     two kinds checks the algebraic equivalence u = -(I - Q)^-1 Q G^-1 C^T x.
     """
-    return closed_realization(make_controller(spec)).response(1j * np.asarray(omegas, dtype=float))
+    return spec.closed_realization.response(1j * np.asarray(omegas, dtype=float))

@@ -123,6 +123,7 @@ def real_eig(A: np.ndarray) -> list[EigenPair]:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DesignError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
+    scale = max(np.linalg.norm(A, 2), 1.0)  # of the whole A, for every block's residual
 
     pairs: list[EigenPair] = []
     for idx in _diagonal_blocks(A):
@@ -133,7 +134,6 @@ def real_eig(A: np.ndarray) -> list[EigenPair]:
             raise DesignError(f"eigenvalue {bad} has imaginary part >= {EIG_RTOL}")
         w = w.real
         V = V.real
-        scale = max(np.linalg.norm(A, 2), 1.0)
         for k in range(len(idx)):
             v = np.zeros(n)
             vk = V[:, k]

@@ -32,6 +32,7 @@ __all__ = ["SimConfig", "Trace", "Metrics", "simulate", "energy_index", "metrics
 _BLOWUP = 1e12
 _PRECHECK = 0.99 * _BLOWUP**2
 _MAX_ROWS = 10**7  # recorded samples a SimConfig may ask for
+_MAX_RECORD_BYTES = 2**30  # bytes of the recorded samples a simulate call may allocate
 _THETA = 1e-2  # the ||x|| level whose last crossing is time_to_threshold
 
 
@@ -109,8 +110,10 @@ def simulate(
     k % L, since no stage of the step from t_k reads a sample before
     k - ceil(tau/dt) - 1 (the 1 covers round-off in (t - tau)/dt).
 
-    Raises NonFiniteState (carrying the truncated trace and blow-up time)
-    if the augmented state leaves the finite range.
+    Raises ValueError before the run when the recorded samples would take
+    over _MAX_RECORD_BYTES (2**30) bytes, and NonFiniteState (carrying the
+    truncated trace and blow-up time) if the augmented state leaves the
+    finite range.
     """
     core = controller.core
     n, m = core.n, core.m
@@ -123,8 +126,16 @@ def simulate(
     measure, unsat_output, ctrl_derivative = ctrl.measure, ctrl.unsat_output, ctrl.derivative
     q = ctrl.state_dim
     nq, nqm = n + q, n + q + m
+    # augmented layout: [x (n), controller (q), y_p (m), (y_s (m))]
+    dim = nqm + (m if with_decomposition else 0)
     dt = simcfg.dt
     nsteps = int(round(simcfg.t_final / dt))
+    stride = simcfg.record_stride
+    nrec = nsteps // stride + 1
+    nbytes = nrec * ((dim + m) * 8 + 1)  # rec_s, rec_u and rec_sat below
+    if nbytes > _MAX_RECORD_BYTES:
+        raise ValueError(f"{nrec} recorded samples take {nbytes} bytes, over the "
+                         f"{_MAX_RECORD_BYTES}-byte budget; raise record_stride or shorten t_final")
 
     A0, B = plant.A0, plant.B
     cl = closed_realization(ctrl)  # the nominal loop at the origin: h = u, sigma = 0
@@ -142,9 +153,7 @@ def simulate(
     L = int(min(np.ceil(tau / dt) + 2, nsteps))  # no more slots than samples
     u_ring = [None] * L  # u(k dt) in slot k % L, filled only when tau > 0
 
-    # augmented layout: [x (n), controller (q), y_p (m), (y_s (m))];
     # the controller and y_p start at zero
-    dim = nqm + (m if with_decomposition else 0)
     s = np.zeros(dim)
     s[:n] = simcfg.x0
     if with_decomposition:
@@ -177,8 +186,6 @@ def simulate(
             return np.concatenate((dx, dc, dyp, dys))
         return np.concatenate((dx, dc, dyp))
 
-    stride = simcfg.record_stride
-    nrec = nsteps // stride + 1
     rec_s = np.empty((nrec, dim))
     rec_u = np.empty((nrec, m))
     rec_sat = np.empty(nrec, dtype=bool)

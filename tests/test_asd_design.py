@@ -18,6 +18,7 @@ from asdinv import (
     delayed_input_lti,
     make_controller,
     pi_gains,
+    real_eig,
     simulate,
     verify_theorem1,
 )
@@ -84,10 +85,15 @@ class TestBuildCore:
         assert str(exc.value) == "-7.0 is not an (unused) eigenvalue of A; spectrum [-3.0, -2.0, -1.0]"
 
     def test_singular_ctb_rejected(self):
-        # upper-triangular A with b along e1: the A^T eigenvector at the
-        # e1-mode is orthogonal to b, so C^T B = 0 for that selection
+        # selecting -2 would give C^T B = 0: the A^T eigenvector there, e2, is
+        # orthogonal to b = e1. By the PBH test a single-input pair has such an
+        # eigenvector only when it is uncontrollable, and A = A0 + b K^T keeps
+        # it, so on a one-input plant build_core stops at the controllability
+        # check and never reports a singular C^T B
         A0 = np.array([[-1.0, 1.0], [0.0, -2.0]])
         B = np.array([[1.0], [0.0]])
+        (selected,) = [pair for pair in real_eig(A0) if pair.value == -2.0]
+        assert selected.vector @ B[:, 0] == 0.0
         with pytest.raises(DesignError, match=r"^\(A0, B\) is not controllable$"):
             build_core(A0, B, np.zeros((2, 1)), [-2.0])
 

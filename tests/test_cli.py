@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import asdinv
-from asdinv import asd_design
+from asdinv import asd_design, cli, controller_rt, sim
 from asdinv.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
@@ -226,6 +226,41 @@ class TestExitCodes:
         argv = [command, "--scenario", "siso", "--set", "sim.t_final=0.2", "--out", str(tmp_path)]
         assert run(argv) == EXIT_OK
         assert len(calls) == 1
+
+    def test_verify_builds_five_controllers(self, tmp_path, monkeypatch):
+        # three runs build the controller they run and close it for the stiffness guard;
+        # each unsaturated spec closes one more build, for its response and the cond bound
+        counts = dict(built=0, closed=0)
+        for cls in (controller_rt.PiController, controller_rt.ObserverController):
+            def counted_init(self, spec, _init=cls.__init__):
+                counts["built"] += 1
+                _init(self, spec)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        closed = controller_rt.closed_realization
+
+        def counted_closed(ctrl):
+            counts["closed"] += 1
+            return closed(ctrl)
+
+        for module in (controller_rt, sim, cli):  # each module that calls it by name
+            if hasattr(module, "closed_realization"):
+                monkeypatch.setattr(module, "closed_realization", counted_closed)
+        argv = ["verify", "--scenario", "siso", "--set", "sim.t_final=0.2", "--out", str(tmp_path)]
+        assert run(argv) == EXIT_OK
+        assert counts == dict(built=5, closed=5)
+        assert not hasattr(cli, "make_controller") and not hasattr(cli, "closed_realization")
+
+    def test_record_byte_budget_is_config_error(self, tmp_path, capsys):
+        # 9e6 + 1 rows of the quadrotor's PI run at (15 + 3) * 8 + 1 bytes: over 2**30,
+        # though under SimConfig's 10**7-row cap
+        code = run(["simulate", "--scenario", "quadrotor", "--set", "sim.t_final=9000",
+                    "--set", "sim.record_stride=1", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: bad 'sim' section: 9000001 recorded samples take 1305000145 bytes, "
+            "over the 1073741824-byte budget; raise record_stride or shorten t_final\n")
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
     @pytest.mark.parametrize("override", ["plant=3", 'sim="x"', "saturation=5", "design=[1]"])
     def test_section_not_an_object_is_config_error(self, tmp_path, capsys, override):

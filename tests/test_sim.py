@@ -21,7 +21,7 @@ from asdinv import (
     synthetic_lti,
 )
 
-from asdinv.controller_rt import _ControllerBase, pi_gains
+from asdinv.controller_rt import ObserverController, PiController, pi_gains
 
 from conftest import spec_for
 
@@ -443,13 +443,12 @@ class TestStiffnessGuard:
     def test_guard_reads_the_running_controller(self, monkeypatch, kind):
         # one simulate call builds one controller, for the guard and the loop alike
         built = []
-        init = _ControllerBase.__init__
+        for cls in (PiController, ObserverController):
+            def counted_init(self, spec, _init=cls.__init__):
+                built.append(spec)
+                _init(self, spec)
 
-        def counted_init(self, spec):
-            built.append(spec)
-            init(self, spec)
-
-        monkeypatch.setattr(_ControllerBase, "__init__", counted_init)
+            monkeypatch.setattr(cls, "__init__", counted_init)
         plant, spec, cfg = bundled_case("siso", t_final=0.01)
         simulate(plant, dataclasses.replace(spec, realization_kind=kind), cfg)
         assert len(built) == 1
@@ -554,6 +553,23 @@ class TestMemory:
         simulate(plant, spec, cfg)  # first-call allocations stay out of the peaks
         short, long = (traced_peak(simulate, plant, spec, run) for run in runs)
         assert abs(long - short) < 64 * 1024
+
+    def test_record_byte_budget(self):
+        # quadrotor observer with y_s: dim = 9 + 6 + 3 + 3, so (21 + 3) * 8 + 1 = 193 bytes
+        # a row; 9e6 + 1 rows (under SimConfig's 10**7 cap) take 1 737 000 193 > 2**30 bytes
+        plant, spec, cfg = bundled_case("quadrotor")
+        spec = dataclasses.replace(spec, realization_kind="observer")
+        cfg = dataclasses.replace(cfg, dt=1e-3, t_final=9000.0, record_stride=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                simulate(plant, spec, cfg, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == ("9000001 recorded samples take 1737000193 bytes, over the "
+                                  "1073741824-byte budget; raise record_stride or shorten t_final")
+        assert peak < 2**20  # refused before the recording arrays exist
 
     def test_export_csv_streams_rows(self, tmp_path):
         rows, n, m = 20_000, 9, 3  # 1 + n + 3m = 19 columns, as the quadrotor's trace
