@@ -24,7 +24,6 @@ __all__ = [
     "CertificateSeries",
     "bound_report",
     "lyapunov_certificate",
-    "sample_constants",
 ]
 
 
@@ -196,46 +195,3 @@ def lyapunov_certificate(
         entered_ball_at=entered, stays_in_ball=stays,
     )
 
-
-def sample_constants(
-    plant: UncertainPlant,
-    u_scale: float = 1.0,
-    x_scale: float = 1.0,
-    grid: int = 5,
-) -> dict:
-    """Rough finite-difference estimates of the assumption constants.
-
-    One array evaluation over the 11 grid^2 (t, u, x) rows of t = 0, 1, ...,
-    10 s and `grid` seeded draws each of u from [-u_scale, u_scale]^m and x
-    from [-x_scale, x_scale]^n; forward differences of step 1e-6 in t and u.
-    Diagnostic only: lower bounds on the true suprema, never to back an
-    assertion.
-    """
-    fd_step = 1e-6
-    if plant.input_delay > 0:
-        raise ValueError("sampler needs an undelayed input map")
-    m, n = plant.m, plant.n
-    rng = np.random.default_rng(0)
-    us = rng.uniform(-u_scale, u_scale, size=(grid, m))
-    xs = rng.uniform(-x_scale, x_scale, size=(grid, n))
-    ts = np.linspace(0.0, 10.0, 11)
-    it, iu, ix = np.indices((len(ts), grid, grid)).reshape(3, -1)
-    t, u, x = ts[it], us[iu], xs[ix]
-    norm = lambda a: np.linalg.norm(a, axis=-1)
-    h0 = plant.h(t, u, x)
-    l_ht = norm(plant.h(t + fd_step, u, x) - h0) / fd_step / np.maximum(norm(u), 1e-9)
-    J = np.empty((len(t), m, m))
-    for j in range(m):
-        up = u.copy()
-        up[:, j] += fd_step
-        J[:, :, j] = (plant.h(t, up, x) - h0) / fd_step
-    sym = np.linalg.eigvalsh((J + J.transpose(0, 2, 1)) / 2)
-    sig_t = norm(plant.sigma(t + fd_step, x) - plant.sigma(t, x)) / fd_step
-    sig0 = norm(plant.sigma(ts, np.zeros((len(ts), n))))
-    return {
-        "l_ht_est": float(np.max(l_ht)),
-        "l_hu_low_est": float(np.min(sym[:, 0])),
-        "l_hu_high_est": float(np.max(np.linalg.norm(J, 2, axis=(1, 2)))),
-        "sigma_t_est": float(np.max(sig_t)),
-        "sigma_at_zero_est": float(np.max(sig0)),
-    }

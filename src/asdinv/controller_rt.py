@@ -62,6 +62,10 @@ class ControllerSpec:
         object.__setattr__(self, "epsilon", as_float(self.epsilon, "epsilon"))
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        with np.errstate(all="ignore"):
+            gains = pi_gains(self.core, self.epsilon)
+        if not all(np.all(np.isfinite(g)) for g in gains):
+            raise ValueError(f"epsilon = {self.epsilon!r} is too small: the controller gains overflow")
         u_min = np.broadcast_to(as_float(self.u_min, "u_min", array=True), (self.core.m,)).copy()
         u_max = np.broadcast_to(as_float(self.u_max, "u_max", array=True), (self.core.m,)).copy()
         object.__setattr__(self, "u_min", u_min)

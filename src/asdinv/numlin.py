@@ -244,11 +244,14 @@ def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
     if controllability_rank(A0, b) < n:
         raise DesignError("(A0, b) is not controllable")
 
-    coeffs = np.poly(poles)  # monic desired characteristic polynomial
-    pA = np.zeros_like(A0)
-    for c in coeffs:
-        pA = pA @ A0 + c * np.eye(n)
-    K = -np.linalg.solve(_ctrb(A0, b), pA)[-1].reshape(-1, 1)  # K^T = -e_n^T ctrb^-1 p(A0)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite K, refused below
+        coeffs = np.poly(poles)  # monic desired characteristic polynomial
+        pA = np.zeros_like(A0)
+        for c in coeffs:
+            pA = pA @ A0 + c * np.eye(n)
+        K = -np.linalg.solve(_ctrb(A0, b), pA)[-1].reshape(-1, 1)  # K^T = -e_n^T ctrb^-1 p(A0)
+    if not np.all(np.isfinite(K)):
+        raise DesignError("pole placement overflows: the gain is not finite")
 
     # verify by backward error: each target pole must be an exact eigenvalue
     # of a matrix within POLE_RTOL * ||A_cl|| of A_cl. A forward comparison of

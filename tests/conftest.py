@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,51 @@ def synthetic_trace(synthetic_plant, synthetic_core):
     spec = spec_for(synthetic_core, 0.005, -1000.0, 1000.0)
     cfg = SimConfig(dt=1e-3, t_final=20.0, x0=np.array([1.0, 0.0]), record_stride=10)
     return simulate(synthetic_plant, spec, cfg, with_decomposition=True, scenario_name="synthetic")
+
+
+def sample_constants(plant, u_scale=1.0, x_scale=1.0, grid=5):
+    """Finite-difference estimates of a plant's assumption constants.
+
+    Loops over t = 0, 1, ..., 10 s and `grid` seeded draws each of u from
+    [-u_scale, u_scale]^m and x from [-x_scale, x_scale]^n, with forward
+    differences of step 1e-6 in t and u. The estimates are lower bounds on
+    the suprema the constants bound, so a test may compare them with a
+    declared constant but never take them for one.
+    """
+    fd_step = 1e-6
+    m, n = plant.m, plant.n
+    rng = np.random.default_rng(0)
+    us = rng.uniform(-u_scale, u_scale, size=(grid, m))
+    xs = rng.uniform(-x_scale, x_scale, size=(grid, n))
+
+    l_ht = 0.0
+    dhdu_min = math.inf
+    dhdu_max = 0.0
+    sig_t = 0.0
+    sig0 = 0.0
+    for t in np.linspace(0.0, 10.0, 11):
+        for u in us:
+            for x in xs:
+                h0 = plant.h(t, u, x)
+                ht = plant.h(t + fd_step, u, x)
+                du_norm = max(np.linalg.norm(u), 1e-9)
+                l_ht = max(l_ht, np.linalg.norm(ht - h0) / fd_step / du_norm)
+                J = np.empty((m, m))
+                for j in range(m):
+                    up = u.copy()
+                    up[j] += fd_step
+                    J[:, j] = (plant.h(t, up, x) - h0) / fd_step
+                sym = np.linalg.eigvalsh((J + J.T) / 2)
+                dhdu_min = min(dhdu_min, float(sym[0]))
+                dhdu_max = max(dhdu_max, float(np.linalg.norm(J, 2)))
+                s0 = plant.sigma(t, x)
+                st = plant.sigma(t + fd_step, x)
+                sig_t = max(sig_t, np.linalg.norm(st - s0) / fd_step)
+        sig0 = max(sig0, float(np.linalg.norm(plant.sigma(t, np.zeros(n)))))
+    return {
+        "l_ht_est": float(l_ht),
+        "l_hu_low_est": float(dhdu_min),
+        "l_hu_high_est": float(dhdu_max),
+        "sigma_t_est": float(sig_t),
+        "sigma_at_zero_est": float(sig0),
+    }

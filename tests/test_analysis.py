@@ -9,20 +9,13 @@ import pytest
 from asdinv import (
     AssumptionConstants,
     BoundReport,
-    QuadrotorConfig,
     SimConfig,
     bound_report,
     build_core,
-    dead_zone,
     delayed_input_lti,
-    f16_rollyaw,
-    hsu_siso,
     lyapunov_certificate,
-    quadrotor_attitude,
-    sample_constants,
     simulate,
     synthetic_lti,
-    UncertainPlant,
 )
 from asdinv import cli
 
@@ -242,73 +235,8 @@ def _certificate_oracle(trace, core, plant):
     return V, vs
 
 
-def _sample_constants_oracle(plant, u_scale, x_scale, grid):
-    """The finite-difference sampler as four nested loops over samples."""
-    fd_step = 1e-6
-    m, n = plant.m, plant.n
-    rng = np.random.default_rng(0)
-    us = rng.uniform(-u_scale, u_scale, size=(grid, m))
-    xs = rng.uniform(-x_scale, x_scale, size=(grid, n))
-
-    l_ht = 0.0
-    dhdu_min = math.inf
-    dhdu_max = 0.0
-    sig_t = 0.0
-    sig0 = 0.0
-    for t in np.linspace(0.0, 10.0, 11):
-        for u in us:
-            for x in xs:
-                h0 = plant.h(t, u, x)
-                ht = plant.h(t + fd_step, u, x)
-                du_norm = max(np.linalg.norm(u), 1e-9)
-                l_ht = max(l_ht, np.linalg.norm(ht - h0) / fd_step / du_norm)
-                J = np.empty((m, m))
-                for j in range(m):
-                    up = u.copy()
-                    up[j] += fd_step
-                    J[:, j] = (plant.h(t, up, x) - h0) / fd_step
-                sym = np.linalg.eigvalsh((J + J.T) / 2)
-                dhdu_min = min(dhdu_min, float(sym[0]))
-                dhdu_max = max(dhdu_max, float(np.linalg.norm(J, 2)))
-                s0 = plant.sigma(t, x)
-                st = plant.sigma(t + fd_step, x)
-                sig_t = max(sig_t, np.linalg.norm(st - s0) / fd_step)
-        sig0 = max(sig0, float(np.linalg.norm(plant.sigma(t, np.zeros(n)))))
-    return {
-        "l_ht_est": float(l_ht),
-        "l_hu_low_est": float(dhdu_min),
-        "l_hu_high_est": float(dhdu_max),
-        "sigma_t_est": float(sig_t),
-        "sigma_at_zero_est": float(sig0),
-    }
-
-
-_ORACLE_PLANTS = {
-    "siso": hsu_siso,
-    "f16": f16_rollyaw,
-    "quadrotor_payload": lambda: quadrotor_attitude(
-        QuadrotorConfig(J_true=1.3 * np.diag([0.03, 0.03, 0.04]))),
-    "synthetic": lambda: synthetic_lti(g=1.5, S=np.array([[0.3, -0.7]]), d_amp=0.4, d_freq=2.0),
-    "deadzone": lambda: dead_zone(0.5)(synthetic_lti(g=1.5, S=np.array([[0.3, -0.7]]), d_amp=0.4)),
-    # the bundled input maps do not depend on t, so l_ht_est is 0 on all of them
-    "time_varying_gain": lambda: UncertainPlant(
-        "time_varying_gain", 2, 1, [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
-        lambda t, u, x: ((1.5 + 0.5 * np.sin(t)) * u.T).T,
-        lambda t, x: np.zeros(x.shape[:-1] + (1,)),
-    ),
-}
-
-
 class TestArrayConsumersMatchLoops:
-    """The array forms of the sampler and the certificate against the
-    per-sample loops they replaced."""
-
-    @pytest.mark.parametrize("name", sorted(_ORACLE_PLANTS))
-    @pytest.mark.parametrize("u_scale, x_scale, grid", [(1.0, 1.0, 5), (5.0, 0.2, 3)])
-    def test_sample_constants_equal_loop(self, name, u_scale, x_scale, grid):
-        plant = _ORACLE_PLANTS[name]()
-        got = sample_constants(plant, u_scale=u_scale, x_scale=x_scale, grid=grid)
-        assert got == _sample_constants_oracle(plant, u_scale, x_scale, grid)
+    """The array form of the certificate against the per-sample loop it replaced."""
 
     @pytest.mark.parametrize("scenario", ["synthetic", "siso", "quadrotor_payload"])
     def test_certificate_matches_row_loop(self, scenario):

@@ -251,6 +251,25 @@ class TestExitCodes:
         assert counts == dict(built=5, closed=5)
         assert not hasattr(cli, "make_controller") and not hasattr(cli, "closed_realization")
 
+    @pytest.mark.parametrize("command, scenario, overrides", [
+        ("design", "siso", ["epsilon=1e-308"]),
+        ("design", "synthetic", ["epsilon=1e-320"]),
+        ("simulate", "synthetic", ["epsilon=1e-320", "sim.t_final=0.01"]),
+        ("verify", "quadrotor", ["epsilon=1e-308"]),
+        ("bound", "synthetic", ["epsilon=1e-320"]),
+    ], ids=["design_siso", "design_synthetic", "simulate_synthetic", "verify_quadrotor", "bound_synthetic"])
+    def test_epsilon_overflowing_the_gains_is_config_error(self, tmp_path, capsys, command, scenario,
+                                                           overrides):
+        # the gains scale as 1/epsilon; an overflow is the scenario's fault, not the 'sim' section's
+        argv = [command, "--scenario", scenario, "--out", str(tmp_path)]
+        for ov in overrides:
+            argv += ["--set", ov]
+        assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad 'epsilon'") and err.count("\n") == 1
+        assert f"epsilon = {overrides[0].split('=')[1]} is too small: the controller gains overflow" in err
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
     def test_record_byte_budget_is_config_error(self, tmp_path, capsys):
         # 9e6 + 1 rows of the quadrotor's PI run at (15 + 3) * 8 + 1 bytes: over 2**30,
         # though under SimConfig's 10**7-row cap
@@ -327,6 +346,8 @@ class TestExitCodes:
          "missing constants:"),
         # each design precondition that fails ends the command with exit 2
         ("design", None, ["design.poles=[1.0,-2.0,-3.0]"], EXIT_CONFIG, "error:"),
+        ("design", None, ["design.poles=[-1e200,-2e200,-3e200]"], EXIT_CONFIG,
+         "error: pole placement overflows: the gain is not finite\n"),
         *[("design", lambda raw, name=name: raw.update(load_scenario(name).raw), [override], EXIT_CONFIG,
            "error:")
           for name, override in (("f16", "design.K=[[0,0],[0,0],[0,0],[0,0]]"), ("f16", "design.K=[[0,0]]"),
@@ -338,7 +359,8 @@ class TestExitCodes:
             "unknown_plant_field", "unknown_sim_field", "unknown_design_field",
             "unknown_saturation_field", "unknown_top_level_field", "both_K_and_poles",
             "constants_false", "constants_zero", "constants_empty_string", "constants_list",
-            "constants_null", "deadzone_bound", "not_hurwitz", "complex_spectrum", "gain_shape",
+            "constants_null", "deadzone_bound", "not_hurwitz", "pole_overflow", "complex_spectrum",
+            "gain_shape",
             "selection_count", "singular_ctb"])
     def test_exit_path(self, tmp_path, capsys, command, edit, overrides, code, prefix):
         # edit is None for the bundled siso, a str for a file's text, or a

@@ -2,6 +2,8 @@
 quadruple behind the runtime maps, and the time/frequency equivalence of
 the closed PI form and the observer form."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from asdinv import (
     simulate,
     x_to_u_response,
 )
+from asdinv import cli
 
 from conftest import spec_for
 
@@ -57,6 +60,31 @@ class TestSpec:
     def test_unknown_realization_rejected(self, siso_core):
         with pytest.raises(ValueError):
             ControllerSpec(siso_core, 0.1, -5.0, 5.0, realization_kind="smith")
+
+    def test_epsilon_overflowing_the_gains_rejected(self, siso_core):
+        with pytest.raises(ValueError, match=r"^epsilon = 1e-308 is too small: the controller gains overflow$"):
+            ControllerSpec(siso_core, 1e-308, -5.0, 5.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scenario", cli.BUNDLED)
+    def test_accepted_epsilon_gives_finite_realizations(self, scenario):
+        # the PI gains first overflow between 5e-307 (f16) and 6e-309 (synthetic);
+        # wherever they are finite, so is every matrix of both realizations
+        sc = cli.load_scenario(scenario)
+        core = cli.build_core(sc, cli.build_plant(sc))
+        accepted = 0
+        for epsilon in np.logspace(-305, -310, 51):
+            try:
+                spec = ControllerSpec(core, epsilon, -1.0, 1.0)
+            except ValueError:
+                continue
+            accepted += 1
+            for kind in ("pi_closed", "observer"):
+                c = make_controller(dataclasses.replace(spec, realization_kind=kind))
+                cl = closed_realization(c)
+                for M in (c.F, c.Gx, c.Gu, c.H, c.D, cl.F, cl.G_in, cl.H, cl.D):
+                    assert np.all(np.isfinite(M)), (epsilon, kind)
+        assert 0 < accepted < 51  # the grid straddles the threshold
 
     def test_factory(self, siso_core):
         assert isinstance(make_controller(spec_for(siso_core, 0.1, -5, 5)), PiController)

@@ -251,6 +251,13 @@ class TestAckermann:
         worst = max(np.linalg.svd(A_cl - p * np.eye(4), compute_uv=False)[-1] for p in poles)
         assert worst > 1e-10 * scale
 
+    def test_overflowing_placement_raises(self):
+        # the characteristic polynomial of poles near 1e200 overflows, so K is not finite
+        A0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -3.0, -1.0]])
+        b = np.array([[0.0], [0.0], [1.0]])
+        with pytest.raises(DesignError, match=r"^pole placement overflows: the gain is not finite$"):
+            ackermann_gain(A0, b, [-1e200, -2e200, -3e200])
+
     def test_uncontrollable_raises(self):
         A = np.diag([-1.0, -2.0])
         b = np.array([[1.0], [0.0]])

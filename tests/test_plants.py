@@ -22,9 +22,10 @@ from asdinv import (
     hsu_siso,
     pi_gains,
     quadrotor_attitude,
-    sample_constants,
     synthetic_lti,
 )
+
+from conftest import sample_constants
 
 
 class TestConstants:

@@ -15,7 +15,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "asdinv"
 PROGRAM_DIRS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
-WAITING = {"sample_constants"}  # its first user is the assumption audit planned in ROADMAP.md
 
 
 def _tree(path: Path) -> ast.Module:
@@ -61,14 +60,9 @@ def test_modules_found():
     assert {"analysis", "asd_design", "controller_rt", "numlin", "plants", "sim"} <= set(MODULES)
 
 
-def test_waiting_names_have_no_user_yet():
-    # a name that gets a user leaves WAITING for test_every_exported_name_has_a_user
-    assert WAITING.isdisjoint(_read_names())
-
-
 @pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_has_a_user(module):
-    unused = sorted(set(_exported(PACKAGE / f"{module}.py")) - _read_names() - WAITING)
+    unused = sorted(set(_exported(PACKAGE / f"{module}.py")) - _read_names())
     assert unused == [], f"asdinv.{module} exports names that no program file reads"
 
 

@@ -13,6 +13,7 @@ from asdinv import (
     SimConfig,
     Trace,
     build_core,
+    dead_zone,
     delayed_input_lti,
     energy_index,
     export_csv,
@@ -264,6 +265,30 @@ class TestSimulate:
         e_fine = np.linalg.norm(finals[dts[1]] - finals[dts[2]])
         ratio = e_coarse / e_fine
         assert band[0] <= ratio <= band[1]
+
+    @pytest.mark.parametrize("wrap, band", [
+        # u crosses |u| = 0.1 about 100 times in 5 s, and each RK4 step across the
+        # kink of h makes an O(dt) local error; the step-to-step ratios of
+        # test_rk4_order swing between 1.5 and 10 here, a fitted slope does not
+        (dead_zone(0.1), (1.0, 2.5)),
+        # the same loop without the dead zone, as a check that the fit sees fourth order
+        (lambda plant: plant, (3.0, 5.0)),
+    ], ids=["deadzone", "synthetic"])
+    def test_error_slope(self, wrap, band):
+        # slope of log ||x_dt(2) - x_ref(2)|| against log dt, reference 4x finer than the finest dt
+        plant = wrap(synthetic_lti(g=1.0, S=np.array([[0.05, 0.05]]), d_amp=0.1, d_freq=1.0))
+        core = build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
+        spec = spec_for(core, 0.05, -1000, 1000)
+
+        def final(dt):
+            cfg = SimConfig(dt=dt, t_final=2.0, x0=np.array([1.0, 0.0]), record_stride=round(2.0 / dt))
+            return simulate(plant, spec, cfg).x[-1]
+
+        dts = np.array([8e-3, 4e-3, 2e-3, 1e-3, 5e-4])
+        ref = final(dts[-1] / 4)
+        errors = [np.linalg.norm(final(dt) - ref) for dt in dts]
+        slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
+        assert band[0] <= slope <= band[1]
 
     def test_decomposition_identity(self, siso_trace):
         y = siso_trace.y
