@@ -7,7 +7,7 @@ Runs design, simulate, verify and bound on the 7 bundled scenarios, once
 per checkout (OTHER_SRC, then this checkout's src/), each command as one
 subprocess `python -m asdinv.cli <cmd> --scenario <all 7> --out <tmp>/<side>/<cmd>`
 with PYTHONPATH set to that src and BLAS on one thread. Then runs each of
-the 19 EDGE_CASES as one subprocess: a stiff verify that diverges, a
+the 22 EDGE_CASES as one subprocess: a stiff verify that diverges, a
 diverging simulate, a design fault, a rejected epsilon, an integer t_final,
 an integer epsilon and saturation bounds, an epsilon that overflows a
 float (1e999), a 2x2 quadrotor inertia, a flat quadrotor K, a
@@ -16,8 +16,11 @@ both ultimate bounds are null), and one design failure each for poles that
 are not Hurwitz, a complex spectrum, a gain of the wrong shape, too few
 selected eigenvalues and a singular C^T B, a verify whose scenario
 run is the observer with its decomposition states (quadrotor), an epsilon
-so small that the controller gains overflow (1e-308), and poles so large
-that the placement overflows (1e200).
+so small that the controller gains overflow (1e-308), poles so large
+that the placement overflows (1e200), a quadrotor epsilon (2e-308) whose
+gains fit a float but overflow the stiffness guard's loop matrix, and a
+quadrotor simulate and verify whose recorded samples exceed simulate's
+byte budget.
 Compares the exit codes, stdout, stderr and every output file, with each
 side's src and output paths replaced by placeholders, and each warning's
 `<file>:<line>:` location and the source line echoed below it scrubbed, so
@@ -57,6 +60,9 @@ EDGE_CASES = (
     ("verify", "--scenario", "quadrotor", "--set", "realization=observer", "--set", "sim.t_final=0.5"),
     ("design", "--scenario", "siso", "--set", "epsilon=1e-308"),
     ("design", "--scenario", "siso", "--set", "design.poles=[-1e200,-2e200,-3e200]"),
+    ("simulate", "--scenario", "quadrotor", "--set", "epsilon=2e-308", "--set", "sim.t_final=0.01"),
+    ("simulate", "--scenario", "quadrotor", "--set", "sim.t_final=9000", "--set", "sim.record_stride=1"),
+    ("verify", "--scenario", "quadrotor", "--set", "sim.t_final=9000", "--set", "sim.record_stride=1"),
 )
 # "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
 WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)

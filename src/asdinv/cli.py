@@ -247,8 +247,6 @@ def cmd_simulate(sc: Scenario, plant, core, spec, cfg, args) -> int:
     out = _out_dir(args, sc)
     try:
         trace = sim.simulate(plant, spec, cfg, scenario_name=sc.name)
-    except ValueError as exc:  # the recorded samples would not fit simulate's byte budget
-        raise ConfigError(f"bad 'sim' section: {exc}") from exc
     except NonFiniteState as exc:
         _write_json(out / "summary.json", {
             "scenario": sc.name, "diverged": True, "blowup_time": exc.blowup_time,
@@ -289,8 +287,6 @@ def cmd_verify(sc: Scenario, plant, core, spec, cfg, args) -> int:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 traces.append(sim.simulate(plant, run_spec, cfg, decomposed, scenario_name=sc.name))
-        except ValueError as exc:  # as in cmd_simulate
-            raise ConfigError(f"bad 'sim' section: {label} run: {exc}") from exc
         except NonFiniteState as exc:
             raise NonFiniteState(f"{label} run: {exc}", blowup_time=exc.blowup_time, trace=exc.trace)
         finally:

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the library: one class per way a
-command ends (see cli._run_one). Bad arguments raise ValueError."""
+"""Exception hierarchy: one class per way a command ends (see cli._run_one).
+Bad arguments raise ValueError; simulate's byte budget raises ConfigError."""
 
 
 class AsdinvError(Exception):

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .controller_rt import ControllerSpec, closed_realization, make_controller
-from .errors import NonFiniteState
+from .errors import ConfigError, NonFiniteState
 from .numlin import STIFF_DT_RHO, as_float, rk4_step
 from .plants import UncertainPlant
 
@@ -110,10 +110,10 @@ def simulate(
     k % L, since no stage of the step from t_k reads a sample before
     k - ceil(tau/dt) - 1 (the 1 covers round-off in (t - tau)/dt).
 
-    Raises ValueError before the run when the recorded samples would take
+    Raises ConfigError before the run when the recorded samples would take
     over _MAX_RECORD_BYTES (2**30) bytes, and NonFiniteState (carrying the
     truncated trace and blow-up time) if the augmented state leaves the
-    finite range.
+    finite range. The stiffness guard reads an overflowing loop as rho = inf.
     """
     core = controller.core
     n, m = core.n, core.m
@@ -134,12 +134,14 @@ def simulate(
     nrec = nsteps // stride + 1
     nbytes = nrec * ((dim + m) * 8 + 1)  # rec_s, rec_u and rec_sat below
     if nbytes > _MAX_RECORD_BYTES:
-        raise ValueError(f"{nrec} recorded samples take {nbytes} bytes, over the "
-                         f"{_MAX_RECORD_BYTES}-byte budget; raise record_stride or shorten t_final")
+        raise ConfigError(f"bad 'sim' section: {nrec} recorded samples take {nbytes} bytes, over the "
+                          f"{_MAX_RECORD_BYTES}-byte budget; raise record_stride or shorten t_final")
 
     A0, B = plant.A0, plant.B
     cl = closed_realization(ctrl)  # the nominal loop at the origin: h = u, sigma = 0
-    rho = np.abs(np.linalg.eigvals(np.block([[A0 + B @ cl.D, B @ cl.H], [cl.G_in, cl.F]]))).max()
+    with np.errstate(all="ignore"):  # gains near the float limit can overflow it; rho is then inf
+        loop = np.block([[A0 + B @ cl.D, B @ cl.H], [cl.G_in, cl.F]])
+    rho = np.abs(np.linalg.eigvals(loop)).max() if np.isfinite(loop).all() else np.inf
     if dt * rho >= STIFF_DT_RHO:
         warnings.warn(f"dt*rho(nominal loop) = {dt * rho:.2f} >= {STIFF_DT_RHO}; RK4 may be unstable",
                       stacklevel=2)

@@ -281,6 +281,32 @@ class TestExitCodes:
             "over the 1073741824-byte budget; raise record_stride or shorten t_final\n")
         assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
+    def test_record_byte_budget_in_verify_is_config_error(self, tmp_path, capsys):
+        # the scenario run, the widest of verify's three, trips first: (18 + 3) * 8 + 1
+        # bytes a row; the message is simulate's own, without a run label
+        code = run(["verify", "--scenario", "quadrotor", "--set", "sim.t_final=9000",
+                    "--set", "sim.record_stride=1", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: bad 'sim' section: 9000001 recorded samples take 1521000169 bytes, "
+            "over the 1073741824-byte budget; raise record_stride or shorten t_final\n")
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+    @pytest.mark.parametrize("epsilon", ["2e-308", "3e-308", "1e-307"])
+    @pytest.mark.parametrize("command, err", [
+        ("simulate", "[quadrotor] DIVERGED at t = 0.0010 s\n"),
+        ("verify", "divergence: scenario run: closed loop diverged at t = 0.0010 s\n"),
+    ], ids=["simulate", "verify"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the first step's state overflows
+    def test_nominal_loop_overflow_diverges(self, tmp_path, capsys, command, err, epsilon):
+        # ControllerSpec accepts these gains, but B @ D overflows the stiffness
+        # guard's block: it warns rho = inf, and the run diverges at its first step
+        argv = [command, "--scenario", "quadrotor", "--set", f"epsilon={epsilon}",
+                "--set", "sim.t_final=0.01", "--out", str(tmp_path)]
+        with pytest.warns(UserWarning, match=r"dt\*rho\(nominal loop\) = inf >= 2\.5"):
+            assert run(argv) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == err
+
     @pytest.mark.parametrize("override", ["plant=3", 'sim="x"', "saturation=5", "design=[1]"])
     def test_section_not_an_object_is_config_error(self, tmp_path, capsys, override):
         code = run(["simulate", "--scenario", "siso", "--set", override, "--out", str(tmp_path)])

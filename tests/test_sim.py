@@ -9,6 +9,7 @@ import pytest
 
 from asdinv import cli, sim
 from asdinv import (
+    ConfigError,
     NonFiniteState,
     SimConfig,
     Trace,
@@ -478,6 +479,32 @@ class TestStiffnessGuard:
         simulate(plant, dataclasses.replace(spec, realization_kind=kind), cfg)
         assert len(built) == 1
 
+    def test_gains_near_the_float_limit_warn_and_do_not_raise(self):
+        # every epsilon that ControllerSpec accepts down to its overflow refusal, on
+        # every bundled scenario, both realizations, with and without y_s: where the
+        # guard's block overflows (B @ D, in 46 runs on each quadrotor) rho is inf,
+        # and each two-step run returns or diverges, with no numpy error escaping
+        runs, inf_warnings = 0, 0
+        for name in cli.BUNDLED:
+            plant, spec, cfg = bundled_case(name)
+            cfg = dataclasses.replace(cfg, t_final=2 * cfg.dt)
+            for epsilon in np.logspace(-305, -310, 51):
+                for kind in ("pi_closed", "observer"):
+                    try:
+                        run_spec = dataclasses.replace(spec, epsilon=epsilon, realization_kind=kind)
+                    except ValueError:  # the gains overflow
+                        continue
+                    for decomposed in (False, True):
+                        runs += 1
+                        with warnings.catch_warnings(record=True) as caught:
+                            warnings.simplefilter("always")
+                            try:
+                                simulate(plant, run_spec, cfg, decomposed)
+                            except NonFiniteState:
+                                pass
+                        inf_warnings += any("dt*rho(nominal loop) = inf" in str(w.message) for w in caught)
+        assert (runs, inf_warnings) == (772, 92)
+
 
 class TestNonFiniteGuard:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -587,13 +614,13 @@ class TestMemory:
         cfg = dataclasses.replace(cfg, dt=1e-3, t_final=9000.0, record_stride=1)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError) as exc:
+            with pytest.raises(ConfigError) as exc:
                 simulate(plant, spec, cfg, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(exc.value) == ("9000001 recorded samples take 1737000193 bytes, over the "
-                                  "1073741824-byte budget; raise record_stride or shorten t_final")
+        assert str(exc.value) == ("bad 'sim' section: 9000001 recorded samples take 1737000193 bytes, "
+                                  "over the 1073741824-byte budget; raise record_stride or shorten t_final")
         assert peak < 2**20  # refused before the recording arrays exist
 
     def test_export_csv_streams_rows(self, tmp_path):
