@@ -6,21 +6,8 @@
 Runs design, simulate, verify and bound on the 7 bundled scenarios, once
 per checkout (OTHER_SRC, then this checkout's src/), each command as one
 subprocess `python -m asdinv.cli <cmd> --scenario <all 7> --out <tmp>/<side>/<cmd>`
-with PYTHONPATH set to that src and BLAS on one thread. Then runs each of
-the 22 EDGE_CASES as one subprocess: a stiff verify that diverges, a
-diverging simulate, a design fault, a rejected epsilon, an integer t_final,
-an integer epsilon and saturation bounds, an epsilon that overflows a
-float (1e999), a 2x2 quadrotor inertia, a flat quadrotor K, a
-design.select that is not a list, a bound past eps_max (eta < 0, so
-both ultimate bounds are null), and one design failure each for poles that
-are not Hurwitz, a complex spectrum, a gain of the wrong shape, too few
-selected eigenvalues and a singular C^T B, a verify whose scenario
-run is the observer with its decomposition states (quadrotor), an epsilon
-so small that the controller gains overflow (1e-308), poles so large
-that the placement overflows (1e200), a quadrotor epsilon (2e-308) whose
-gains fit a float but overflow the stiffness guard's loop matrix, and a
-quadrotor simulate and verify whose recorded samples exceed simulate's
-byte budget.
+with PYTHONPATH set to that src and BLAS on one thread. Then runs each
+command of EDGE_CASES (below, each with its reason) as one subprocess.
 Compares the exit codes, stdout, stderr and every output file, with each
 side's src and output paths replaced by placeholders, and each warning's
 `<file>:<line>:` location and the source line echoed below it scrubbed, so
@@ -39,30 +26,57 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = ("design", "simulate", "verify", "bound")
 EDGE_CASES = (
+    # a stiff verify whose observer run diverges; each run warns
     ("verify", "--scenario", "siso", "--set", "epsilon=0.0002", "--set", "sim.t_final=0.01"),
+    # a diverging simulate, which still writes its truncated trace
     ("simulate", "--scenario", "delay_demo", "--set", "epsilon=0.001",
      "--set", "saturation.min=-1e12", "--set", "saturation.max=1e12"),
+    # a design fault: -7 is not an eigenvalue of A
     ("design", "--scenario", "siso", "--set", "design.select=[-7]"),
+    # a rejected epsilon
     ("simulate", "--scenario", "siso", "--set", "epsilon=-1"),
+    # an integer t_final
     ("simulate", "--scenario", "synthetic", "--set", "sim.t_final=1"),
+    # an integer epsilon and integer saturation bounds
     ("simulate", "--scenario", "siso", "--set", "epsilon=1", "--set", "saturation.min=-5",
      "--set", "saturation.max=5", "--set", "sim.t_final=1"),
+    # an epsilon that overflows a float
     ("design", "--scenario", "siso", "--set", "epsilon=1e999"),
+    # a 2x2 quadrotor inertia
     ("design", "--scenario", "quadrotor", "--set", "plant.J0_diag=[0.03,0.03]"),
+    # a flat quadrotor K
     ("design", "--scenario", "quadrotor", "--set", "design.K=[0,0,0,0,0,0,0,0,0]"),
+    # a design.select that is not a list
     ("design", "--scenario", "siso", "--set", "design.select=1"),
+    # a bound past eps_max: eta < 0, so both ultimate bounds are null
     ("bound", "--scenario", "synthetic", "--set", "epsilon=0.05"),
+    # design failure: poles that are not Hurwitz
     ("design", "--scenario", "siso", "--set", "design.poles=[1.0,-2.0,-3.0]"),
+    # design failure: a complex spectrum
     ("design", "--scenario", "f16", "--set", "design.K=[[0,0],[0,0],[0,0],[0,0]]"),
+    # design failure: a gain of the wrong shape
     ("design", "--scenario", "f16", "--set", "design.K=[[0,0]]"),
+    # design failure: too few selected eigenvalues
     ("design", "--scenario", "f16", "--set", "design.select=[-1.0]"),
+    # design failure: a singular C^T B
     ("design", "--scenario", "quadrotor", "--set", "design.select=[-1.0,-1.0,-15.0]"),
+    # a verify whose scenario run is the observer with its decomposition states
     ("verify", "--scenario", "quadrotor", "--set", "realization=observer", "--set", "sim.t_final=0.5"),
+    # an epsilon so small that the controller gains overflow
     ("design", "--scenario", "siso", "--set", "epsilon=1e-308"),
+    # poles so large that the placement overflows
     ("design", "--scenario", "siso", "--set", "design.poles=[-1e200,-2e200,-3e200]"),
+    # gains that fit a float but overflow the stiffness guard's loop matrix
     ("simulate", "--scenario", "quadrotor", "--set", "epsilon=2e-308", "--set", "sim.t_final=0.01"),
+    # recorded samples over simulate's byte budget, in simulate and in verify
     ("simulate", "--scenario", "quadrotor", "--set", "sim.t_final=9000", "--set", "sim.record_stride=1"),
     ("verify", "--scenario", "quadrotor", "--set", "sim.t_final=9000", "--set", "sim.record_stride=1"),
+    # a batch that repeats a stiff scenario: each run prints its own warning
+    ("simulate", "--scenario", "synthetic", "--scenario", "synthetic", "--scenario", "siso",
+     "--set", "epsilon=0.0002", "--set", "sim.t_final=0.01"),
+    # a t_final that is not a whole number of dt steps
+    ("simulate", "--scenario", "synthetic", "--set", "sim.t_final=1", "--set", "sim.record_stride=1",
+     "--set", "sim.dt=0.3"),
 )
 # "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
 WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)

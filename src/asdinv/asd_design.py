@@ -25,19 +25,8 @@ __all__ = [
     "LtiRealization",
     "StructureReport",
     "build_core",
-    "ctb_invertible",
     "verify_theorem1",
 ]
-
-
-def ctb_invertible(C: np.ndarray, B: np.ndarray) -> bool:
-    """Scale-relative invertibility of C^T B.
-
-    True when sigma_min(C^T B) > RANK_RTOL ||C||_2 ||B||_2, so the verdict
-    does not change when B (or C) is rescaled.
-    """
-    smin = np.linalg.svd(C.T @ B, compute_uv=False)[-1]
-    return bool(smin > RANK_RTOL * np.linalg.norm(C, 2) * np.linalg.norm(B, 2))
 
 
 @dataclass(frozen=True)
@@ -46,13 +35,12 @@ class LinearCore:
 
     Invariants (established by build_core): A = A0 + B K^T is Hurwitz
     with a real spectrum, C has unit-norm columns with C^T A = -Lambda C^T,
-    C^T B invertible (see ctb_invertible), and P A + A^T P = -M with
+    C^T B invertible (see verify_theorem1), and P A + A^T P = -M with
     P, M > 0.
     """
 
     n: int
     m: int
-    A0: np.ndarray
     B: np.ndarray
     K: np.ndarray
     A: np.ndarray
@@ -102,7 +90,6 @@ class LtiRealization:
 class StructureReport:
     theorem1_residual: float
     det_ctb: float
-    c_rank: int
     checks: dict = field(default_factory=dict)
 
 
@@ -170,7 +157,7 @@ def build_core(
     M = np.eye(n)
     P = solve_lyapunov(A, M)
 
-    core = LinearCore(n=n, m=m, A0=A0, B=B, K=K, A=A, C=C, Lam=Lam, P=P, M=M)
+    core = LinearCore(n=n, m=m, B=B, K=K, A=A, C=C, Lam=Lam, P=P, M=M)
     report = core.theorem1
     if not report.checks["ctb_invertible"]:
         raise DesignError(
@@ -188,15 +175,11 @@ def verify_theorem1(core: LinearCore) -> StructureReport:
     """Residual report for the output-redefinition identities."""
     resid = float(np.linalg.norm(core.C.T @ core.A + core.Lam @ core.C.T))
     det_ctb = float(np.linalg.det(core.CtB))
-    c_rank = int(np.linalg.matrix_rank(core.C, tol=RANK_RTOL))
+    # sigma_min(C^T B) against ||C|| ||B||, so rescaling B (or C) keeps the verdict
+    smin = np.linalg.svd(core.CtB, compute_uv=False)[-1]
     checks = {
         "output_identity": resid <= IDENTITY_RTOL * float(np.linalg.norm(core.A)),
-        "ctb_invertible": ctb_invertible(core.C, core.B),
-        "c_full_column_rank": c_rank == core.m,
+        "ctb_invertible": bool(smin > RANK_RTOL * np.linalg.norm(core.C, 2) * np.linalg.norm(core.B, 2)),
+        "c_full_column_rank": int(np.linalg.matrix_rank(core.C, tol=RANK_RTOL)) == core.m,
     }
-    return StructureReport(
-        theorem1_residual=resid,
-        det_ctb=det_ctb,
-        c_rank=c_rank,
-        checks=checks,
-    )
+    return StructureReport(theorem1_residual=resid, det_ctb=det_ctb, checks=checks)

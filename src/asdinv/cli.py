@@ -246,7 +246,7 @@ def cmd_design(sc: Scenario, plant, core, spec, cfg, args) -> int:
 def cmd_simulate(sc: Scenario, plant, core, spec, cfg, args) -> int:
     out = _out_dir(args, sc)
     try:
-        trace = sim.simulate(plant, spec, cfg, scenario_name=sc.name)
+        trace = sim.simulate(plant, spec, cfg)
     except NonFiniteState as exc:
         _write_json(out / "summary.json", {
             "scenario": sc.name, "diverged": True, "blowup_time": exc.blowup_time,
@@ -261,7 +261,7 @@ def cmd_simulate(sc: Scenario, plant, core, spec, cfg, args) -> int:
         "scenario": sc.name,
         "diverged": False,
         "metrics": dataclasses.asdict(m),
-        "config": trace.metadata,
+        "config": {**trace.metadata, "scenario": sc.name},
     })
     print(f"[{sc.name}] sup-tail ||x|| = {m.sup_tail:.3e}, E = {m.energy:.3f}, "
           f"max|u| = {np.max(m.max_abs_u):.3f}, sat = {100 * m.sat_fraction:.1f}%")
@@ -286,7 +286,7 @@ def cmd_verify(sc: Scenario, plant, core, spec, cfg, args) -> int:
                                         ("unsaturated observer", wide_obs, False)]:
         try:
             with warnings.catch_warnings(record=True) as caught:
-                traces.append(sim.simulate(plant, run_spec, cfg, decomposed, scenario_name=sc.name))
+                traces.append(sim.simulate(plant, run_spec, cfg, decomposed))
         except NonFiniteState as exc:
             raise NonFiniteState(f"{label} run: {exc}", blowup_time=exc.blowup_time, trace=exc.trace)
         finally:
@@ -357,7 +357,8 @@ def _run_one(command, ref, overrides, args) -> int:
         cfg = build_sim_config(sc)
         if cfg.x0.shape != (plant.n,):
             raise ConfigError(f"field 'sim.x0' must have length {plant.n}, got shape {cfg.x0.shape}")
-        return COMMANDS[command](sc, plant, core, spec, cfg, args)
+        with warnings.catch_warnings():  # a fresh record of shown warnings: each run of a batch warns
+            return COMMANDS[command](sc, plant, core, spec, cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -60,8 +60,6 @@ class ControllerSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", as_float(self.epsilon, "epsilon"))
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
         with np.errstate(all="ignore"):
             gains = pi_gains(self.core, self.epsilon)
         if not all(np.all(np.isfinite(g)) for g in gains):

@@ -27,7 +27,6 @@ __all__ = [
     "solve_lyapunov",
     "controllability_rank",
     "ackermann_gain",
-    "is_hurwitz",
     "rk4_step",
 ]
 
@@ -43,6 +42,7 @@ TRAJ_RTOL = 1e-6  # y_p + y_s = y and PI-vs-observer u along a trace, x the trac
 FREQ_ULPS = 10  # PI-vs-observer response, x eps_mach x max cond(jwI - F_cl) x max|H|
 CERT_ATOL = 1e-12  # slack on V <= ball radius, x 1 (absolute, in the units of V)
 STIFF_DT_RHO = 2.5  # dt x spectral radius of the nominal loop; RK4's real-axis limit is 2.785
+STEP_RTOL = 1e-9  # t_final/dt off a whole number of steps, x max(1, round(t_final/dt))
 
 
 @dataclass(frozen=True)
@@ -150,11 +150,6 @@ def real_eig(A: np.ndarray) -> list[EigenPair]:
     return pairs
 
 
-def is_hurwitz(A: np.ndarray) -> bool:
-    A = _require_finite(A, "A")
-    return bool(np.all(np.linalg.eigvals(A).real < 0.0))
-
-
 def solve_lyapunov(A_cl: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Solve P @ A_cl + A_cl.T @ P = -M for symmetric positive-definite P.
 
@@ -172,7 +167,7 @@ def solve_lyapunov(A_cl: np.ndarray, M: np.ndarray) -> np.ndarray:
         raise DesignError("M is not symmetric")
     if np.min(np.linalg.eigvalsh((M + M.T) / 2)) <= 0:
         raise DesignError("M is not positive definite")
-    if not is_hurwitz(A_cl):
+    if not np.all(np.linalg.eigvals(A_cl).real < 0.0):
         raise DesignError("A_cl is not Hurwitz")
 
     n = A_cl.shape[0]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .controller_rt import ControllerSpec, closed_realization, make_controller
 from .errors import ConfigError, NonFiniteState
-from .numlin import STIFF_DT_RHO, as_float, rk4_step
+from .numlin import STEP_RTOL, STIFF_DT_RHO, as_float, rk4_step
 from .plants import UncertainPlant
 
 __all__ = ["SimConfig", "Trace", "Metrics", "simulate", "energy_index", "metrics", "entry_time",
@@ -55,6 +55,9 @@ class SimConfig:
         steps = self.t_final / self.dt
         if not (np.isfinite(steps) and round(steps) // stride + 1 <= _MAX_ROWS):
             raise ValueError(f"t_final/dt/record_stride gives over {_MAX_ROWS} recorded samples")
+        if abs(steps - round(steps)) > STEP_RTOL * max(1, round(steps)):  # else the run ends off t_final
+            raise ValueError(f"t_final = {self.t_final!r} is not a whole number of dt = {self.dt!r} steps "
+                             f"(t_final/dt = {steps!r})")
 
 
 @dataclass
@@ -92,7 +95,6 @@ def simulate(
     controller: ControllerSpec,
     simcfg: SimConfig,
     with_decomposition: bool = False,
-    scenario_name: Optional[str] = None,
 ) -> Trace:
     """Integrate the closed loop and return the recorded Trace.
 
@@ -223,7 +225,7 @@ def simulate(
         d_hat=Y - S[:, nq:nqm],
         sat=rec_sat[:nrec],
         metadata={
-            "scenario": scenario_name or plant.name,
+            "scenario": plant.name,
             "plant": plant.name,
             "epsilon": controller.epsilon,
             "realization": controller.realization_kind,

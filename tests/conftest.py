@@ -81,14 +81,14 @@ def spec_for(core, epsilon, lo, hi, kind="pi_closed"):
 def siso_trace(siso_plant, siso_core):
     spec = spec_for(siso_core, 0.1, -5.0, 5.0)
     cfg = SimConfig(dt=1e-3, t_final=20.0, x0=np.array([1.0, 1.0, 1.0]), record_stride=10)
-    return simulate(siso_plant, spec, cfg, with_decomposition=True, scenario_name="siso")
+    return simulate(siso_plant, spec, cfg, with_decomposition=True)
 
 
 @pytest.fixture(scope="session")
 def synthetic_trace(synthetic_plant, synthetic_core):
     spec = spec_for(synthetic_core, 0.005, -1000.0, 1000.0)
     cfg = SimConfig(dt=1e-3, t_final=20.0, x0=np.array([1.0, 0.0]), record_stride=10)
-    return simulate(synthetic_plant, spec, cfg, with_decomposition=True, scenario_name="synthetic")
+    return simulate(synthetic_plant, spec, cfg, with_decomposition=True)
 
 
 def sample_constants(plant, u_scale=1.0, x_scale=1.0, grid=5):

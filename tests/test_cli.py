@@ -27,6 +27,15 @@ def run(args):
     return main(args)
 
 
+def run_fresh(argv):
+    """The CLI in a fresh interpreter, under Python's default once-per-location
+    warnings filter: (the completed process, the text of each UserWarning)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(asdinv.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-m", "asdinv.cli", *argv], capture_output=True, text=True, env=env)
+    return res, [line.split("UserWarning: ")[1] for line in res.stderr.splitlines() if "UserWarning: " in line]
+
+
 class TestScenarioLoading:
     def test_all_bundled_scenarios_load(self):
         for name in BUNDLED:
@@ -427,18 +436,47 @@ class TestExitCodes:
                                            "closed loop diverged at t = 0.0090 s\n")
 
     def test_verify_warns_once_per_run(self, tmp_path):
-        # all three runs are stiff here; a fresh interpreter applies Python's
-        # default once-per-location filter, and each run's warning names it
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-        env["PYTHONPATH"] = str(Path(asdinv.__file__).resolve().parents[1])
+        # all three runs are stiff here; each run's warning names it
         argv = ["verify", "--scenario", "siso", "--set", "epsilon=0.0002", "--set", "sim.t_final=0.01",
                 "--out", str(tmp_path)]
-        res = subprocess.run([sys.executable, "-m", "asdinv.cli", *argv], capture_output=True, text=True, env=env)
+        res, warned = run_fresh(argv)
         assert res.returncode == EXIT_DIVERGENCE
-        warned = [line.split("UserWarning: ")[1] for line in res.stderr.splitlines() if "UserWarning: " in line]
         assert [w.split(" run: ")[0] for w in warned] == ["scenario", "unsaturated PI", "unsaturated observer"]
         assert all(w.endswith("dt*rho(nominal loop) = 4.99 >= 2.5; RK4 may be unstable") for w in warned)
         assert res.stderr.endswith("divergence: unsaturated observer run: closed loop diverged at t = 0.0090 s\n")
+
+    def test_repeated_scenario_warns_on_every_run(self, tmp_path):
+        # the two synthetic runs warn from the same line with the same text; the
+        # default once-per-location filter must not swallow the second
+        argv = ["simulate", "--scenario", "synthetic", "--scenario", "synthetic", "--scenario", "siso",
+                "--set", "epsilon=0.0002", "--set", "sim.t_final=0.01", "--out", str(tmp_path)]
+        res, warned = run_fresh(argv)
+        assert res.returncode == EXIT_OK
+        assert [w.split(" = ")[1].split(" ")[0] for w in warned] == ["5.00", "5.00", "4.99"]
+        assert all(w.endswith(" >= 2.5; RK4 may be unstable") for w in warned)
+
+    @pytest.mark.parametrize("command", ["design", "simulate", "verify", "bound"])
+    @pytest.mark.parametrize("dt, steps", [("0.3", "3.3333333333333335"), ("0.6", "1.6666666666666667")])
+    def test_t_final_off_the_step_grid_is_config_error(self, tmp_path, capsys, command, dt, steps):
+        # round(t_final/dt) steps would end at t = 0.9 or 1.2, not at t_final = 1
+        argv = [command, "--scenario", "synthetic", "--set", "sim.t_final=1", "--set", "sim.record_stride=1",
+                "--set", f"sim.dt={dt}", "--out", str(tmp_path)]
+        assert run(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: bad 'sim' section: t_final = 1.0 is not a whole number of dt = {dt} steps "
+            f"(t_final/dt = {steps})\n")
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+    def test_verify_checks_on_delayed_plant(self, tmp_path):
+        # no asd_identity on a delayed plant, though the split holds there (TestDecompose);
+        # adding it changes this list on purpose
+        argv = ["verify", "--scenario", "delay_demo", "--set", "sim.t_final=0.2", "--out", str(tmp_path)]
+        assert run(argv) == EXIT_OK
+        v = json.loads((tmp_path / "delay_demo" / "verify.json").read_text())
+        assert list(v["checks"]) == ["theorem1.output_identity", "theorem1.ctb_invertible",
+                                     "theorem1.c_full_column_rank", "realization_equivalence",
+                                     "frequency_response_match"]
+        assert v["pass"] is True
 
 
 class TestOutputs:
@@ -461,6 +499,9 @@ class TestOutputs:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["diverged"] is False
         assert summary["metrics"]["energy"] >= 0
+        # config names the scenario, and its plant apart from it
+        assert list(summary["config"])[:2] == ["scenario", "plant"]
+        assert (summary["config"]["scenario"], summary["config"]["plant"]) == ("synthetic", "synthetic_lti")
 
     def test_simulate_deterministic(self, tmp_path):
         argv = [

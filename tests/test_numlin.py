@@ -11,7 +11,6 @@ from asdinv import (
     DesignError,
     ackermann_gain,
     controllability_rank,
-    is_hurwitz,
     real_eig,
     solve_lyapunov,
 )
@@ -263,11 +262,6 @@ class TestAckermann:
         b = np.array([[1.0], [0.0]])
         with pytest.raises(DesignError, match=r"^\(A0, b\) is not controllable$"):
             ackermann_gain(A, b, [-3.0, -4.0])
-
-
-def test_is_hurwitz():
-    assert is_hurwitz(-np.eye(3))
-    assert not is_hurwitz(np.diag([-1.0, 0.5]))
 
 
 def test_no_tolerance_parameters():

@@ -175,6 +175,18 @@ class TestConfig:
                 SimConfig(dt=dt, t_final=t_final, x0=np.zeros(2), record_stride=stride)
 
 
+    @pytest.mark.parametrize("dt, t_final", [(0.3, 1.0), (0.6, 1.0), (1e-3, 1.0005), (0.25, 1.0 + 1e-6)])
+    def test_t_final_off_the_step_grid_rejected(self, dt, t_final):
+        # simulate runs round(t_final/dt) steps, so these would end at the wrong time
+        with pytest.raises(ValueError, match="is not a whole number of dt"):
+            SimConfig(dt=dt, t_final=t_final, x0=np.zeros(2))
+
+    @pytest.mark.parametrize("dt, t_final", [(1e-3, 3.0), (1e-3, 0.2), (0.1, 0.3), (5e-3, 40.0)])
+    def test_t_final_on_the_step_grid_up_to_round_off_accepted(self, dt, t_final):
+        # 3.0 / 1e-3 = 2999.9999999999995 and 0.2 / 1e-3 = 200.00000000000003: round-off only
+        SimConfig(dt=dt, t_final=t_final, x0=np.zeros(2))
+
+
 class TestBlowupCheck:
     """sim._bounded against the exact test max|s| <= 1e12."""
 
@@ -306,7 +318,7 @@ class TestSimulate:
 
     def test_metadata_roundtrip(self, siso_trace):
         md = siso_trace.metadata
-        assert md["scenario"] == "siso"
+        assert md["scenario"] == md["plant"] == "hsu_siso"
         assert md["epsilon"] == 0.1
         assert md["dt"] == 1e-3 and md["t_final"] == 20.0
         assert md["x0"] == [1.0, 1.0, 1.0]
