@@ -77,6 +77,12 @@ EDGE_CASES = (
     # a t_final that is not a whole number of dt steps
     ("simulate", "--scenario", "synthetic", "--set", "sim.t_final=1", "--set", "sim.record_stride=1",
      "--set", "sim.dt=0.3"),
+    # bounds whose Theorem-2 terms leave the float range: a config error, no bound.json
+    ("bound", "--scenario", "quadrotor", "--set", "plant.J_scale=1e-160"),
+    ("bound", "--scenario", "synthetic", "--set", "plant.S=[[1e200,1e200]]"),
+    ("bound", "--scenario", "synthetic", "--set", "plant.g=4e-301", "--set", "plant.S=[[1e10,1e10]]"),
+    # a diverging simulate whose first step overflows: no numpy warnings on stderr
+    ("simulate", "--scenario", "siso", "--set", "sim.x0=[1e300,1,1]", "--set", "sim.t_final=0.01"),
 )
 # "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
 WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)

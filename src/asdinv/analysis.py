@@ -34,7 +34,8 @@ class BoundReport:
     The fields are the three closed-loop gammas and the extreme eigenvalues
     of P; every other quantity is derived from them. The ultimate bounds and
     the certificate's ball need the filter constant `epsilon` and are None
-    where eta(epsilon) is not positive.
+    where eta(epsilon) is not positive. Terms that leave the float range are
+    refused with a ValueError that names them.
     """
 
     consts: AssumptionConstants
@@ -46,6 +47,19 @@ class BoundReport:
     epsilon: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("gamma1", "gamma2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)!r} is not finite")
+        try:
+            term = self._filter_term
+        except OverflowError:  # from the square; a NaN gamma0 still gives eta = NaN
+            term = math.inf
+        if math.isinf(term):
+            raise ValueError("the filter term (2/gamma0)(gamma2 + l_sigma_t)^2 overflows")
+        with np.errstate(all="ignore"):  # log10(0) is -inf, refused below
+            grid = self.eps_grid
+        if not np.all(grid > 0):
+            raise ValueError(f"eps_max = {self.eps_max!r} is too small: eps_grid is not all positive")
         if self.epsilon is not None:
             self.eta(self.epsilon)  # rejects a non-positive or NaN epsilon up front
 
@@ -158,7 +172,6 @@ def bound_report(
 
 @dataclass(frozen=True)
 class CertificateSeries:
-    t: np.ndarray
     V: np.ndarray
     v: np.ndarray  # the lumped mismatch h - K^T x + sigma along the trace
     ball_radius: Optional[float]
@@ -170,28 +183,25 @@ def lyapunov_certificate(
     trace: Trace,
     core: LinearCore,
     plant: UncertainPlant,
-    epsilon: Optional[float] = None,
+    epsilon: Optional[float],
 ) -> CertificateSeries:
     """V = x^T P x + v^T v along the trace, with the predicted terminal ball.
 
-    The ball radius needs the plant's assumption constants and the filter
-    constant; without them only the series is returned.
+    The ball radius needs the plant's assumption constants and the run's
+    filter constant epsilon; without either (epsilon None) only the series
+    is returned.
     """
     if plant.input_delay > 0:
         raise ValueError("certificate needs an undelayed input map")
-    P, X = core.P, trace.x
-    vs = plant.mismatch(trace.t, X, trace.u) - X @ core.K
-    V = np.einsum("ij,jk,ik->i", X, P, X) + np.einsum("ij,ij->i", vs, vs)
+    t, X = trace.t, trace.x
+    vs = plant.h(t, trace.u, X) + plant.sigma(t, X) - X @ core.K
+    V = np.einsum("ij,jk,ik->i", X, core.P, X) + np.einsum("ij,ij->i", vs, vs)
 
     radius = entered = stays = None
-    eps = epsilon if epsilon is not None else trace.metadata.get("epsilon")
-    if plant.constants is not None and eps is not None:
-        radius = bound_report(core, plant.constants, eps).ball_radius
+    if plant.constants is not None and epsilon is not None:
+        radius = bound_report(core, plant.constants, epsilon).ball_radius
     if radius is not None:
-        entered = entry_time(trace.t, V <= radius + CERT_ATOL)
+        entered = entry_time(t, V <= radius + CERT_ATOL)
         stays = entered is not None
-    return CertificateSeries(
-        t=trace.t.copy(), V=V, v=vs, ball_radius=radius,
-        entered_ball_at=entered, stays_in_ball=stays,
-    )
+    return CertificateSeries(V=V, v=vs, ball_radius=radius, entered_ball_at=entered, stays_in_ball=stays)
 

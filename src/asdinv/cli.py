@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, asd_design, plants, sim
-from .controller_rt import ControllerSpec, pi_gains, x_to_u_response
+from .controller_rt import ControllerSpec, x_to_u_response
 from .errors import AsdinvError, ConfigError, MissingConstants, NonFiniteState
 from .numlin import FREQ_ULPS, TRAJ_RTOL, as_float
 
@@ -218,7 +218,6 @@ def _json_default(obj):
 
 
 def cmd_design(sc: Scenario, plant, core, spec, cfg, args) -> int:
-    Kp, Ki = pi_gains(core, spec.epsilon)
     report = core.theorem1
     summary = {
         "scenario": sc.name,
@@ -226,7 +225,7 @@ def cmd_design(sc: Scenario, plant, core, spec, cfg, args) -> int:
         "C": core.C,
         "Lambda": np.diag(core.Lam),
         "CtB": core.CtB,
-        "pi_gains": {"Kp": Kp, "Ki": Ki},
+        "pi_gains": {"Kp": spec.Kp, "Ki": spec.Ki},
         "theorem1": {
             "residual": report.theorem1_residual,
             "det_CtB": report.det_ctb,
@@ -327,7 +326,10 @@ def cmd_verify(sc: Scenario, plant, core, spec, cfg, args) -> int:
 
 def cmd_bound(sc: Scenario, plant, core, spec, cfg, args) -> int:
     consts = _constants(sc, plant)
-    report = analysis.bound_report(core, consts, epsilon=spec.epsilon)
+    try:
+        report = analysis.bound_report(core, consts, epsilon=spec.epsilon)
+    except ValueError as exc:  # epsilon > 0 holds, so a term left the float range
+        raise ConfigError(f"Theorem 2 out of float range: {exc}") from exc
     out = _out_dir(args, sc)
     _write_json(out / "bound.json", {"scenario": sc.name, **report.to_dict()})
     eps_max = report.eps_max

@@ -16,13 +16,14 @@ The quadruple gives the frequency response; the simulator runs
 `unsat_output(s, v)` (H s + D x) and `derivative(s, v, u)`
 (F s + Gx x + Gu u) on v = `measure(x)`, x or C^T x, in the textbook
 arithmetic of each form. Tests tie the two together. Each class sets its
-quadruple, `state_dim`, `measure` and the fields its maps read; a
-ControllerSpec builds its closed realization once, on first use.
+quadruple, `state_dim`, `measure` and the fields its maps read. A
+ControllerSpec keeps the PI gains K_p, K_i that it checks for overflow,
+and builds its closed realization once, on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,20 +35,10 @@ __all__ = [
     "ControllerSpec",
     "PiController",
     "ObserverController",
-    "pi_gains",
     "make_controller",
     "closed_realization",
     "x_to_u_response",
 ]
-
-
-def pi_gains(core: LinearCore, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Proportional and integral gains of the closed realization."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    Kp = (1.0 / epsilon) * core.CtB_inv @ core.C.T
-    Ki = (1.0 / epsilon) * core.CtB_inv @ core.Lam @ core.C.T
-    return Kp, Ki
 
 
 @dataclass(frozen=True)
@@ -57,13 +48,20 @@ class ControllerSpec:
     u_min: np.ndarray
     u_max: np.ndarray
     realization_kind: str = "pi_closed"  # a key of _REALIZATIONS
+    Kp: np.ndarray = field(init=False, repr=False, compare=False)
+    Ki: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", as_float(self.epsilon, "epsilon"))
+        eps = as_float(self.epsilon, "epsilon")
+        object.__setattr__(self, "epsilon", eps)
+        if not eps > 0:
+            raise ValueError("epsilon must be positive")
+        core = self.core
         with np.errstate(all="ignore"):
-            gains = pi_gains(self.core, self.epsilon)
-        if not all(np.all(np.isfinite(g)) for g in gains):
-            raise ValueError(f"epsilon = {self.epsilon!r} is too small: the controller gains overflow")
+            object.__setattr__(self, "Kp", (1.0 / eps) * core.CtB_inv @ core.C.T)
+            object.__setattr__(self, "Ki", (1.0 / eps) * core.CtB_inv @ core.Lam @ core.C.T)
+        if not (np.all(np.isfinite(self.Kp)) and np.all(np.isfinite(self.Ki))):
+            raise ValueError(f"epsilon = {eps!r} is too small: the controller gains overflow")
         u_min = np.broadcast_to(as_float(self.u_min, "u_min", array=True), (self.core.m,)).copy()
         u_max = np.broadcast_to(as_float(self.u_max, "u_max", array=True), (self.core.m,)).copy()
         object.__setattr__(self, "u_min", u_min)
@@ -83,16 +81,15 @@ class PiController:
     """Closed PI realization driven by the full state x."""
 
     def __init__(self, spec: ControllerSpec):
-        self.Kp, self.Ki = pi_gains(spec.core, spec.epsilon)
         m = self.state_dim = spec.core.m
-        self.F, self.Gx, self.Gu = np.zeros((m, m)), self.Ki, np.zeros((m, m))
-        self.H, self.D = -np.eye(m), -self.Kp
+        self.F, self.Gx, self.Gu = np.zeros((m, m)), spec.Ki, np.zeros((m, m))
+        self.H, self.D = -np.eye(m), -spec.Kp
 
     def unsat_output(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
         return self.D.dot(x) - s
 
     def derivative(self, s: np.ndarray, x: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
-        return self.Ki.dot(x)
+        return self.Gx.dot(x)
 
     measure = staticmethod(lambda x: x)  # PI reads x itself
 

@@ -92,10 +92,6 @@ class UncertainPlant:
         if controllability_rank(A0, B) < self.n:
             raise DesignError(f"plant '{self.name}': (A0, B) is not controllable")
 
-    def mismatch(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """h(t, u, x) + sigma(t, x), the bracket multiplying B."""
-        return self.h(t, u, x) + self.sigma(t, x)
-
 
 def hsu_siso() -> UncertainPlant:
     """Third-order SISO benchmark with a nonlinear input gain.

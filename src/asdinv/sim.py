@@ -87,7 +87,7 @@ class Metrics:
 
 def _bounded(s: np.ndarray):
     """max|s| <= _BLOWUP (false on NaN/inf), implied by s.s <= _PRECHECK despite round-off."""
-    return s.dot(s) <= _PRECHECK or np.abs(s).max() <= _BLOWUP  # numpy warns if s.s overflows
+    return s.dot(s) <= _PRECHECK or np.abs(s).max() <= _BLOWUP  # s.s may overflow to inf
 
 
 def simulate(
@@ -196,23 +196,24 @@ def simulate(
 
     t = 0.0
     blowup_time = None
-    for k in range(nsteps + 1):
-        u_unsat = unsat_output(s[n:nq], measure(s[:n]))
-        u = np.minimum(np.maximum(u_unsat, u_min), u_max)
-        if k % stride == 0:
-            rec_s[k // stride] = s
-            rec_u[k // stride] = u
-            rec_sat[k // stride] = np.any(u != u_unsat)
-        if k == nsteps:
-            break
-        if tau:
-            u_ring[k % L] = u
-        s = rk4_step(deriv, t, s, dt, deriv(t, s, u))
-        t = (k + 1) * dt
-        if not _bounded(s):
-            blowup_time = t
-            nrec = k // stride + 1
-            break
+    with np.errstate(all="ignore"):  # an overflow shows as a blown-up state, reported below
+        for k in range(nsteps + 1):
+            u_unsat = unsat_output(s[n:nq], measure(s[:n]))
+            u = np.minimum(np.maximum(u_unsat, u_min), u_max)
+            if k % stride == 0:
+                rec_s[k // stride] = s
+                rec_u[k // stride] = u
+                rec_sat[k // stride] = np.any(u != u_unsat)
+            if k == nsteps:
+                break
+            if tau:
+                u_ring[k % L] = u
+            s = rk4_step(deriv, t, s, dt, deriv(t, s, u))
+            t = (k + 1) * dt
+            if not _bounded(s):
+                blowup_time = t
+                nrec = k // stride + 1
+                break
 
     S = rec_s[:nrec]
     X = S[:, :n]

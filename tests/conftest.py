@@ -137,3 +137,14 @@ def sample_constants(plant, u_scale=1.0, x_scale=1.0, grid=5):
         "sigma_t_est": float(sig_t),
         "sigma_at_zero_est": float(sig0),
     }
+
+
+# scenario overrides whose Theorem-2 terms leave the float range, and the term each names
+OUT_OF_RANGE = [
+    ("quadrotor", ["plant.J_scale=1e-160"],
+     r"^the filter term \(2/gamma0\)\(gamma2 \+ l_sigma_t\)\^2 overflows$"),
+    ("synthetic", ["plant.S=[[1e200,1e200]]"], r"^the filter term .* overflows$"),
+    ("synthetic", ["plant.g=4e-301", "plant.S=[[1e10,1e10]]"],
+     r"^eps_max = 1\.2\de-322 is too small: eps_grid is not all positive$"),
+]
+OUT_OF_RANGE_IDS = ["quadrotor_filter_term", "synthetic_filter_term", "synthetic_eps_grid"]

@@ -19,7 +19,7 @@ from asdinv import (
 )
 from asdinv import cli
 
-from conftest import spec_for
+from conftest import OUT_OF_RANGE, OUT_OF_RANGE_IDS, spec_for
 
 
 class TestGammas:
@@ -172,17 +172,40 @@ class TestBoundReport:
         }
 
 
+class TestFloatRange:
+    @pytest.mark.parametrize("scenario, overrides, message", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
+    def test_scenario_out_of_range_rejected(self, scenario, overrides, message):
+        sc = cli.load_scenario(scenario, overrides)
+        plant = cli.build_plant(sc)
+        with pytest.raises(ValueError, match=message):
+            bound_report(cli.build_core(sc, plant), plant.constants)
+
+    @pytest.mark.parametrize("gammas, message", [
+        ((1.0, math.inf, 1.0), r"^gamma1 = inf is not finite$"),
+        ((1.0, 1.0, math.nan), r"^gamma2 = nan is not finite$"),
+        ((1.0, 1.0, 1e200), r"^the filter term .* overflows$"),  # the square overflows
+        ((1e-300, 1.0, 1e10), r"^the filter term .* overflows$"),  # 2/gamma0 times it does
+    ], ids=["gamma1", "gamma2", "square", "product"])
+    def test_non_finite_term_rejected(self, gammas, message):
+        with pytest.raises(ValueError, match=message):
+            BoundReport(AssumptionConstants(), *gammas, p_min=1.0, p_max=1.0)
+
+    def test_large_finite_terms_kept(self):
+        rep = BoundReport(AssumptionConstants(), 1.0, 1.0, 1e150, p_min=1.0, p_max=1.0)
+        assert rep.eps_max > 0 and np.all(rep.eps_grid > 0)
+
+
 class TestCertificate:
     def test_zero_trace(self):
         plant = synthetic_lti(g=1.0, d_amp=0.0)
         core = build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
         cfg = SimConfig(dt=1e-3, t_final=0.5, x0=np.zeros(2))
         tr = simulate(plant, spec_for(core, 0.05, -10, 10), cfg)
-        cert = lyapunov_certificate(tr, core, plant)
+        cert = lyapunov_certificate(tr, core, plant, 0.05)
         np.testing.assert_allclose(cert.V, 0.0, atol=1e-20)
 
     def test_series_matches_direct_evaluation(self, synthetic_trace, synthetic_core, synthetic_plant):
-        cert = lyapunov_certificate(synthetic_trace, synthetic_core, synthetic_plant)
+        cert = lyapunov_certificate(synthetic_trace, synthetic_core, synthetic_plant, 0.005)
         k = len(synthetic_trace) // 3
         x, u, t = synthetic_trace.x[k], synthetic_trace.u[k], synthetic_trace.t[k]
         v = (
@@ -194,7 +217,7 @@ class TestCertificate:
         assert cert.V[k] == pytest.approx(want, rel=1e-12)
 
     def test_trajectory_enters_and_stays_in_ball(self, synthetic_trace, synthetic_core, synthetic_plant):
-        cert = lyapunov_certificate(synthetic_trace, synthetic_core, synthetic_plant)
+        cert = lyapunov_certificate(synthetic_trace, synthetic_core, synthetic_plant, 0.005)
         assert cert.ball_radius is not None and cert.ball_radius > 0
         assert cert.stays_in_ball is True
         assert cert.entered_ball_at is not None
@@ -216,7 +239,7 @@ class TestCertificate:
     def test_delayed_plant_rejected(self, synthetic_core, synthetic_trace):
         plant = delayed_input_lti(0.05, g=1.0)
         with pytest.raises(ValueError, match=r"^certificate needs an undelayed input map$"):
-            lyapunov_certificate(synthetic_trace, synthetic_core, plant)
+            lyapunov_certificate(synthetic_trace, synthetic_core, plant, 0.005)
 
 
 def _certificate_oracle(trace, core, plant):
@@ -243,8 +266,9 @@ class TestArrayConsumersMatchLoops:
         sc = cli.load_scenario(scenario, ["sim.t_final=2.0"])
         plant = cli.build_plant(sc)
         core = cli.build_core(sc, plant)
-        trace = simulate(plant, cli.build_controller_spec(sc, core), cli.build_sim_config(sc))
-        cert = lyapunov_certificate(trace, core, plant)
+        spec = cli.build_controller_spec(sc, core)
+        trace = simulate(plant, spec, cli.build_sim_config(sc))
+        cert = lyapunov_certificate(trace, core, plant, spec.epsilon)
         V, vs = _certificate_oracle(trace, core, plant)
         assert np.linalg.norm(cert.V - V) <= 1e-14 * np.linalg.norm(V)
         assert np.linalg.norm(cert.v - vs) <= 1e-14 * np.linalg.norm(vs)

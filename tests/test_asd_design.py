@@ -17,7 +17,6 @@ from asdinv import (
     build_core,
     delayed_input_lti,
     make_controller,
-    pi_gains,
     real_eig,
     simulate,
     verify_theorem1,
@@ -239,7 +238,7 @@ class TestCtbOnce:
         with pytest.raises(DesignError, match=singular):
             core.CtB_inv
         with pytest.raises(DesignError, match=singular):
-            pi_gains(core, 0.1)
+            ControllerSpec(core, 0.1, -5.0, 5.0)
         for kind in ("pi_closed", "observer"):
             with pytest.raises(DesignError, match=singular):
                 make_controller(ControllerSpec(core, 0.1, -5.0, 5.0, realization_kind=kind))

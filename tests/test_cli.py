@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,8 @@ from asdinv.cli import (
     main,
 )
 from asdinv.errors import ConfigError
+
+from conftest import OUT_OF_RANGE, OUT_OF_RANGE_IDS
 
 
 def run(args):
@@ -306,7 +309,6 @@ class TestExitCodes:
         ("simulate", "[quadrotor] DIVERGED at t = 0.0010 s\n"),
         ("verify", "divergence: scenario run: closed loop diverged at t = 0.0010 s\n"),
     ], ids=["simulate", "verify"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the first step's state overflows
     def test_nominal_loop_overflow_diverges(self, tmp_path, capsys, command, err, epsilon):
         # ControllerSpec accepts these gains, but B @ D overflows the stiffness
         # guard's block: it warns rho = inf, and the run diverges at its first step
@@ -315,6 +317,19 @@ class TestExitCodes:
         with pytest.warns(UserWarning, match=r"dt\*rho\(nominal loop\) = inf >= 2\.5"):
             assert run(argv) == EXIT_DIVERGENCE
         assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("scenario, overrides, message", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
+    def test_bound_out_of_float_range_is_config_error(self, tmp_path, capsys, scenario, overrides, message):
+        # Theorem 2's terms overflow, or eps_max is so small that its grid underflows to 0
+        argv = ["bound", "--scenario", scenario, "--out", str(tmp_path)]
+        for ov in overrides:
+            argv += ["--set", ov]
+        assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        prefix = "config error: Theorem 2 out of float range: "
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert re.match(message, err[len(prefix):-1])
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
     @pytest.mark.parametrize("override", ["plant=3", 'sim="x"', "saturation=5", "design=[1]"])
     def test_section_not_an_object_is_config_error(self, tmp_path, capsys, override):

@@ -16,7 +16,6 @@ from asdinv import (
     build_core,
     closed_realization,
     make_controller,
-    pi_gains,
     simulate,
     x_to_u_response,
 )
@@ -30,7 +29,8 @@ class TestGains:
         # C^T B and Lambda are scalars here, so Kp = C^T/(eps C^T B),
         # Ki = lam * Kp
         eps = 0.1
-        Kp, Ki = pi_gains(siso_core, eps)
+        spec = spec_for(siso_core, eps, -5.0, 5.0)
+        Kp, Ki = spec.Kp, spec.Ki
         ctb = float(siso_core.CtB[0, 0])
         np.testing.assert_allclose(Kp, siso_core.C.T / (eps * ctb), atol=1e-12)
         np.testing.assert_allclose(Ki, siso_core.lam_diag[0] * Kp, atol=1e-12)
@@ -38,14 +38,15 @@ class TestGains:
     def test_identity_core(self):
         # A0 = -I, B = I, K = 0 gives C = I, Lam = I, so Kp = Ki = I/eps
         core = build_core(-np.eye(2), np.eye(2), np.zeros((2, 2)), [-1.0, -1.0])
-        Kp, Ki = pi_gains(core, 0.5)
+        spec = spec_for(core, 0.5, -5.0, 5.0)
+        Kp, Ki = spec.Kp, spec.Ki
         sgn = np.sign(np.diag(core.C))
         np.testing.assert_allclose(Kp, np.diag(sgn) @ (2.0 * np.eye(2)) @ np.diag(sgn), atol=1e-10)
         np.testing.assert_allclose(Ki, Kp, atol=1e-10)
 
     def test_epsilon_must_be_positive(self, siso_core):
-        with pytest.raises(ValueError):
-            pi_gains(siso_core, 0.0)
+        with pytest.raises(ValueError, match=r"^epsilon must be positive$"):
+            ControllerSpec(siso_core, 0.0, -5.0, 5.0)
 
 
 class TestSpec:
@@ -144,7 +145,7 @@ class TestStateSpace:
     def test_pi_response_closed_form(self, request, core_name):
         core = request.getfixturevalue(core_name)
         spec = spec_for(core, 0.2, -1e9, 1e9)
-        Kp, Ki = pi_gains(core, 0.2)
+        Kp, Ki = spec.Kp, spec.Ki
         omegas = np.logspace(-2, 2, 20)
         got = x_to_u_response(spec, omegas)
         want = np.array([-Kp - Ki / (1j * w) for w in omegas])

@@ -20,7 +20,6 @@ from asdinv import (
     delayed_input_lti,
     f16_rollyaw,
     hsu_siso,
-    pi_gains,
     quadrotor_attitude,
     synthetic_lti,
 )
@@ -267,8 +266,8 @@ def _eta_at(core, epsilon):
 
 class TestNanParameters:
     """A non-finite number fails as_float in the constructor that owns it,
-    before any range check; NaN fails the positive check of pi_gains and
-    eta (a `<= 0` test would let it through)."""
+    before any range check; NaN fails the positive check of eta (a `<= 0`
+    test would let it through)."""
 
     @pytest.mark.parametrize("make, message", [
         (lambda core: delayed_input_lti(NAN), "^tau must be finite, not nan$"),
@@ -278,10 +277,9 @@ class TestNanParameters:
         (lambda core: AssumptionConstants(l_hu_low=NAN), "^l_hu_low must be finite, not nan$"),
         (lambda core: AssumptionConstants(l_hu_high=NAN), "^l_hu_high must be finite, not nan$"),
         (lambda core: ControllerSpec(core, NAN, -1.0, 1.0), "^epsilon must be finite, not nan$"),
-        (lambda core: pi_gains(core, NAN), "positive"),
         (lambda core: _eta_at(core, NAN), "positive"),
     ], ids=["delay_tau", "synthetic_g", "dead_zone_mu", "quadrotor_omega", "l_hu_low",
-            "l_hu_high", "controller_epsilon", "pi_gains_epsilon", "eta_epsilon"])
+            "l_hu_high", "controller_epsilon", "eta_epsilon"])
     def test_nan_raises(self, synthetic_core, make, message):
         with pytest.raises(ValueError, match=message):
             make(synthetic_core)
@@ -357,12 +355,6 @@ class TestPlantInterface:
                 np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]),
                 lambda t, u, x: u, lambda t, x: np.zeros(1),
             )
-
-    def test_mismatch_helper(self):
-        p = synthetic_lti(g=2.0, d_amp=0.0)
-        u = np.array([0.5])
-        x = np.zeros(2)
-        np.testing.assert_allclose(p.mismatch(0.0, x, u), p.h(0.0, u, x))
 
     def test_determinism(self):
         p1, p2 = hsu_siso(), hsu_siso()
