@@ -83,6 +83,8 @@ EDGE_CASES = (
     ("bound", "--scenario", "synthetic", "--set", "plant.g=4e-301", "--set", "plant.S=[[1e10,1e10]]"),
     # a diverging simulate whose first step overflows: no numpy warnings on stderr
     ("simulate", "--scenario", "siso", "--set", "sim.x0=[1e300,1,1]", "--set", "sim.t_final=0.01"),
+    # an eps_max near the float floor: 1/epsilon overflows at eps_grid's first entry, silently
+    ("bound", "--scenario", "synthetic", "--set", "plant.S=[[1e152,1e152]]"),
 )
 # "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
 WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)

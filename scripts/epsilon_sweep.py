@@ -12,39 +12,29 @@ sup_tail is an integrator artifact, not a control outcome.
 """
 
 import argparse
+import dataclasses
 import sys
 import warnings
 
 import numpy as np
 
-from asdinv import (
-    SimConfig,
-    build_core,
-    ControllerSpec,
-    metrics,
-    simulate,
-    synthetic_lti,
-)
+from asdinv import cli, metrics, simulate
 from asdinv.analysis import bound_report
-from asdinv.errors import NonFiniteState
+from asdinv.errors import ConfigError, NonFiniteState
 
 
-def sweep(points: int, t_final: float) -> None:
-    plant = synthetic_lti(g=1.0, S=np.array([[0.05, 0.05]]), d_amp=0.1, d_freq=1.0)
-    core = build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
-    rep = bound_report(core, plant.constants)
+def sweep(plant, spec, cfg, points: int) -> None:
+    rep = bound_report(spec.core, plant.constants)
     print(f"# eps_max = {rep.eps_max:.6g}", file=sys.stderr)
     print("epsilon,eta,ultimate_bound_appendix,sup_tail,diverged,stiff")
     for eps in np.logspace(np.log10(rep.eps_max) - 2, np.log10(rep.eps_max) + 0.5, points):
-        r = bound_report(core, plant.constants, epsilon=eps)
+        r = bound_report(spec.core, plant.constants, epsilon=eps)
         ev = r.eta(eps)
         bound = r.ultimate_appendix if r.ultimate_appendix is not None else float("nan")
-        spec = ControllerSpec(core, eps, np.array([-1000.0]), np.array([1000.0]))
-        cfg = SimConfig(dt=1e-3, t_final=t_final, x0=np.array([1.0, 0.0]), record_stride=10)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                tail = metrics(simulate(plant, spec, cfg)).sup_tail
+                tail = metrics(simulate(plant, dataclasses.replace(spec, epsilon=eps), cfg)).sup_tail
                 diverged = 0
             except NonFiniteState:
                 tail = float("nan")
@@ -58,4 +48,8 @@ if __name__ == "__main__":
     ap.add_argument("--points", type=int, default=15)
     ap.add_argument("--t-final", type=float, default=20.0)
     args = ap.parse_args()
-    sweep(args.points, args.t_final)
+    try:
+        built = cli.build(cli.load_scenario("synthetic", [f"sim.t_final={args.t_final!r}"]))
+    except ConfigError as exc:
+        ap.error(str(exc))
+    sweep(*built, args.points)

@@ -82,7 +82,8 @@ class BoundReport:
         if not np.all(epsilon > 0):
             raise ValueError("epsilon must be positive")
         first = self.gamma0 / (2.0 * self.p_max)
-        second = self.consts.l_hu_low / epsilon - self.gamma1 - self._filter_term
+        with np.errstate(over="ignore"):  # 1/epsilon = inf leaves eta at first, as it should
+            second = self.consts.l_hu_low / epsilon - self.gamma1 - self._filter_term
         return np.minimum(first, second)
 
     @property

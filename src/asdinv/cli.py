@@ -182,6 +182,16 @@ def build_sim_config(sc: Scenario) -> sim.SimConfig:
         raise ConfigError(f"bad 'sim' section: {exc}") from exc
 
 
+def build(sc: Scenario) -> tuple[plants.UncertainPlant, ControllerSpec, sim.SimConfig]:
+    """The scenario's plant, controller spec (its core is spec.core) and sim config."""
+    plant = build_plant(sc)
+    spec = build_controller_spec(sc, build_core(sc, plant))
+    cfg = build_sim_config(sc)
+    if cfg.x0.shape != (plant.n,):
+        raise ConfigError(f"field 'sim.x0' must have length {plant.n}, got shape {cfg.x0.shape}")
+    return plant, spec, cfg
+
+
 def _constants(sc: Scenario, plant) -> plants.AssumptionConstants:
     if sc.raw.get("constants"):  # {} falls back to the plant's own
         try:
@@ -217,7 +227,8 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def cmd_design(sc: Scenario, plant, core, spec, cfg, args) -> int:
+def cmd_design(sc: Scenario, plant, spec, cfg, args) -> int:
+    core = spec.core
     report = core.theorem1
     summary = {
         "scenario": sc.name,
@@ -242,7 +253,7 @@ def cmd_design(sc: Scenario, plant, core, spec, cfg, args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(sc: Scenario, plant, core, spec, cfg, args) -> int:
+def cmd_simulate(sc: Scenario, plant, spec, cfg, args) -> int:
     out = _out_dir(args, sc)
     try:
         trace = sim.simulate(plant, spec, cfg)
@@ -267,18 +278,18 @@ def cmd_simulate(sc: Scenario, plant, core, spec, cfg, args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(sc: Scenario, plant, core, spec, cfg, args) -> int:
+def cmd_verify(sc: Scenario, plant, spec, cfg, args) -> int:
     out = _out_dir(args, sc)
     checks: dict[str, bool] = {}
     detail: dict[str, float] = {}
 
-    report = core.theorem1
+    report = spec.core.theorem1
     checks.update({f"theorem1.{k}": v for k, v in report.checks.items()})
     detail["theorem1_residual"] = report.theorem1_residual
 
     # the scenario's run, then both realizations unsaturated; a divergence and
     # the warnings of a run name it, and each run warns on its own
-    wide = ControllerSpec(core, spec.epsilon, -1e9 * np.ones(core.m), 1e9 * np.ones(core.m))
+    wide = ControllerSpec(spec.core, spec.epsilon, -1e9, 1e9)
     wide_obs = dataclasses.replace(wide, realization_kind="observer")
     traces = []
     for label, run_spec, decomposed in [("scenario", spec, True), ("unsaturated PI", wide, False),
@@ -324,10 +335,10 @@ def cmd_verify(sc: Scenario, plant, core, spec, cfg, args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_bound(sc: Scenario, plant, core, spec, cfg, args) -> int:
+def cmd_bound(sc: Scenario, plant, spec, cfg, args) -> int:
     consts = _constants(sc, plant)
     try:
-        report = analysis.bound_report(core, consts, epsilon=spec.epsilon)
+        report = analysis.bound_report(spec.core, consts, epsilon=spec.epsilon)
     except ValueError as exc:  # epsilon > 0 holds, so a term left the float range
         raise ConfigError(f"Theorem 2 out of float range: {exc}") from exc
     out = _out_dir(args, sc)
@@ -352,15 +363,9 @@ COMMANDS = {
 def _run_one(command, ref, overrides, args) -> int:
     try:
         sc = load_scenario(ref, overrides)
-        # every command builds and validates the whole scenario first
-        plant = build_plant(sc)
-        core = build_core(sc, plant)
-        spec = build_controller_spec(sc, core)
-        cfg = build_sim_config(sc)
-        if cfg.x0.shape != (plant.n,):
-            raise ConfigError(f"field 'sim.x0' must have length {plant.n}, got shape {cfg.x0.shape}")
+        plant, spec, cfg = build(sc)  # every command builds and validates the whole scenario first
         with warnings.catch_warnings():  # a fresh record of shown warnings: each run of a batch warns
-            return COMMANDS[command](sc, plant, core, spec, cfg, args)
+            return COMMANDS[command](sc, plant, spec, cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

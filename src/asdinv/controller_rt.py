@@ -36,7 +36,6 @@ __all__ = [
     "PiController",
     "ObserverController",
     "make_controller",
-    "closed_realization",
     "x_to_u_response",
 ]
 
@@ -73,8 +72,10 @@ class ControllerSpec:
 
     @cached_property
     def closed_realization(self) -> LtiRealization:
-        """closed_realization(make_controller(self)), built once per spec."""
-        return closed_realization(make_controller(self))
+        """The unsaturated x -> u map, built once per spec: u = H s + D x closed
+        around s' = F s + Gx x + Gu u, i.e. D + H (sI - F - Gu H)^-1 (Gx + Gu D)."""
+        c = make_controller(self)
+        return LtiRealization(F=c.F + c.Gu @ c.H, G_in=c.Gx + c.Gu @ c.D, H=c.H, D=c.D)
 
 
 class PiController:
@@ -133,12 +134,6 @@ _REALIZATIONS = {"pi_closed": PiController, "observer": ObserverController}
 
 def make_controller(spec: ControllerSpec):
     return _REALIZATIONS[spec.realization_kind](spec)
-
-
-def closed_realization(c: PiController | ObserverController) -> LtiRealization:
-    """The unsaturated x -> u map of a built controller: u = H s + D x closed
-    around s' = F s + Gx x + Gu u, i.e. D + H (sI - F - Gu H)^-1 (Gx + Gu D)."""
-    return LtiRealization(F=c.F + c.Gu @ c.H, G_in=c.Gx + c.Gu @ c.D, H=c.H, D=c.D)
 
 
 def x_to_u_response(spec: ControllerSpec, omegas) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .controller_rt import ControllerSpec, closed_realization, make_controller
+from .controller_rt import ControllerSpec, make_controller
 from .errors import ConfigError, NonFiniteState
 from .numlin import STEP_RTOL, STIFF_DT_RHO, as_float, rk4_step
 from .plants import UncertainPlant
@@ -140,7 +140,7 @@ def simulate(
                           f"{_MAX_RECORD_BYTES}-byte budget; raise record_stride or shorten t_final")
 
     A0, B = plant.A0, plant.B
-    cl = closed_realization(ctrl)  # the nominal loop at the origin: h = u, sigma = 0
+    cl = controller.closed_realization  # the nominal loop at the origin: h = u, sigma = 0
     with np.errstate(all="ignore"):  # gains near the float limit can overflow it; rho is then inf
         loop = np.block([[A0 + B @ cl.D, B @ cl.H], [cl.G_in, cl.F]])
     rho = np.abs(np.linalg.eigvals(loop)).max() if np.isfinite(loop).all() else np.inf

@@ -194,6 +194,13 @@ class TestFloatRange:
         rep = BoundReport(AssumptionConstants(), 1.0, 1.0, 1e150, p_min=1.0, p_max=1.0)
         assert rep.eps_max > 0 and np.all(rep.eps_grid > 0)
 
+    def test_eta_where_one_over_epsilon_overflows(self):
+        # eps_max = 1e-306 puts the grid's first epsilon at 1e-309, where l_hu_low / epsilon
+        # is inf; the rate there is the gamma0 / (2 p_max) cap, and no warning is raised
+        rep = BoundReport(AssumptionConstants(), 1.0, 1e306, 1.0, p_min=1.0, p_max=1.0)
+        assert rep.eps_grid[0] < 1.0 / np.finfo(float).max
+        assert rep.eta_grid[0] == 0.5
+
 
 class TestCertificate:
     def test_zero_trace(self):
@@ -263,12 +270,9 @@ class TestArrayConsumersMatchLoops:
 
     @pytest.mark.parametrize("scenario", ["synthetic", "siso", "quadrotor_payload"])
     def test_certificate_matches_row_loop(self, scenario):
-        sc = cli.load_scenario(scenario, ["sim.t_final=2.0"])
-        plant = cli.build_plant(sc)
-        core = cli.build_core(sc, plant)
-        spec = cli.build_controller_spec(sc, core)
-        trace = simulate(plant, spec, cli.build_sim_config(sc))
-        cert = lyapunov_certificate(trace, core, plant, spec.epsilon)
-        V, vs = _certificate_oracle(trace, core, plant)
+        plant, spec, cfg = cli.build(cli.load_scenario(scenario, ["sim.t_final=2.0"]))
+        trace = simulate(plant, spec, cfg)
+        cert = lyapunov_certificate(trace, spec.core, plant, spec.epsilon)
+        V, vs = _certificate_oracle(trace, spec.core, plant)
         assert np.linalg.norm(cert.V - V) <= 1e-14 * np.linalg.norm(V)
         assert np.linalg.norm(cert.v - vs) <= 1e-14 * np.linalg.norm(vs)

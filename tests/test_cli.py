@@ -1,5 +1,6 @@
 """Command-line interface: scenario loading, overrides, outputs, exit codes."""
 
+import contextlib
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import asdinv
-from asdinv import asd_design, cli, controller_rt, sim
+from asdinv import asd_design, cli, controller_rt
 from asdinv.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
@@ -28,6 +29,16 @@ from conftest import OUT_OF_RANGE, OUT_OF_RANGE_IDS
 
 def run(args):
     return main(args)
+
+
+@contextlib.contextmanager
+def warns_stiff_runs():
+    """Each of verify's three runs warns that RK4 may be unstable, under its label."""
+    with pytest.warns(UserWarning) as record:
+        yield
+    assert [str(w.message).split(" run: ")[0] for w in record] == ["scenario", "unsaturated PI",
+                                                                   "unsaturated observer"]
+    assert all(str(w.message).endswith("RK4 may be unstable") for w in record)
 
 
 def run_fresh(argv):
@@ -239,29 +250,24 @@ class TestExitCodes:
         assert run(argv) == EXIT_OK
         assert len(calls) == 1
 
-    def test_verify_builds_five_controllers(self, tmp_path, monkeypatch):
-        # three runs build the controller they run and close it for the stiffness guard;
-        # each unsaturated spec closes one more build, for its response and the cond bound
-        counts = dict(built=0, closed=0)
+    def test_verify_builds_each_spec_twice(self, tmp_path, monkeypatch):
+        # each of the three runs builds the controller it runs, and each spec builds one more
+        # for its closed realization: the stiffness guard's, the response's and the cond bound's
+        built, closed = [], []
         for cls in (controller_rt.PiController, controller_rt.ObserverController):
             def counted_init(self, spec, _init=cls.__init__):
-                counts["built"] += 1
+                built.append(spec)
                 _init(self, spec)
 
             monkeypatch.setattr(cls, "__init__", counted_init)
-        closed = controller_rt.closed_realization
-
-        def counted_closed(ctrl):
-            counts["closed"] += 1
-            return closed(ctrl)
-
-        for module in (controller_rt, sim, cli):  # each module that calls it by name
-            if hasattr(module, "closed_realization"):
-                monkeypatch.setattr(module, "closed_realization", counted_closed)
+        prop = controller_rt.ControllerSpec.__dict__["closed_realization"]
+        monkeypatch.setattr(prop, "func", lambda spec, _func=prop.func: closed.append(spec) or _func(spec))
         argv = ["verify", "--scenario", "siso", "--set", "sim.t_final=0.2", "--out", str(tmp_path)]
         assert run(argv) == EXIT_OK
-        assert counts == dict(built=5, closed=5)
-        assert not hasattr(cli, "make_controller") and not hasattr(cli, "closed_realization")
+        specs = list({id(spec): spec for spec in built}.values())
+        assert len(specs) == 3 and [sum(b is spec for b in built) for spec in specs] == [2, 2, 2]
+        assert len(closed) == 3 and all(any(c is spec for c in closed) for spec in specs)
+        assert not hasattr(cli, "make_controller") and not hasattr(controller_rt, "closed_realization")
 
     @pytest.mark.parametrize("command, scenario, overrides", [
         ("design", "siso", ["epsilon=1e-308"]),
@@ -330,6 +336,13 @@ class TestExitCodes:
         assert err.startswith(prefix) and err.count("\n") == 1
         assert re.match(message, err[len(prefix):-1])
         assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+    def test_bound_near_the_float_floor_is_quiet(self, tmp_path, capsys):
+        # eps_max = 3.1e-306: 1/epsilon overflows at the grid's first entry, silently
+        argv = ["bound", "--scenario", "synthetic", "--set", "plant.S=[[1e152,1e152]]", "--out", str(tmp_path)]
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "synthetic" / "bound.json").read_text())["eps_max"] < 1e-305
 
     @pytest.mark.parametrize("override", ["plant=3", 'sim="x"', "saturation=5", "design=[1]"])
     def test_section_not_an_object_is_config_error(self, tmp_path, capsys, override):
@@ -428,7 +441,8 @@ class TestExitCodes:
         argv = [command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]
         for ov in overrides:
             argv += ["--set", ov]
-        assert run(argv) == code
+        with warns_stiff_runs() if code == EXIT_DIVERGENCE else contextlib.nullcontext():
+            assert run(argv) == code
         assert capsys.readouterr().err.startswith(prefix)
         assert list(tmp_path.glob("out/*/*.json")) == []  # no verify.json on divergence
 
@@ -446,7 +460,8 @@ class TestExitCodes:
         # the scenario run and the unsaturated PI run finish; the observer run blows up
         argv = ["verify", "--scenario", "siso", "--set", "epsilon=0.0002", "--set", "sim.t_final=0.01",
                 "--out", str(tmp_path)]
-        assert run(argv) == EXIT_DIVERGENCE
+        with warns_stiff_runs():
+            assert run(argv) == EXIT_DIVERGENCE
         assert capsys.readouterr().err == ("divergence: unsaturated observer run: "
                                            "closed loop diverged at t = 0.0090 s\n")
 

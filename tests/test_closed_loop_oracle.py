@@ -77,12 +77,9 @@ def oracle_x(plant, spec, x0, t_eval):
 @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
 @pytest.mark.parametrize("name", list(BOUNDS))
 def test_rk4_trace_against_dop853(name, kind):
-    sc = cli.load_scenario(name, (f"sim.t_final={T_FINAL}",))
-    plant = cli.build_plant(sc)
+    plant, spec, cfg = cli.build(cli.load_scenario(name, (f"sim.t_final={T_FINAL}",)))
     assert plant.input_delay == 0
-    spec = dataclasses.replace(cli.build_controller_spec(sc, cli.build_core(sc, plant)),
-                               realization_kind=kind)
-    cfg = cli.build_sim_config(sc)
+    spec = dataclasses.replace(spec, realization_kind=kind)
     trace = simulate(plant, spec, cfg)
     want = oracle_x(plant, spec, cfg.x0, trace.t)
     err = np.max(np.abs(trace.x - want)) / np.max(np.abs(want))
@@ -125,12 +122,9 @@ def oracle_delay_x(plant, spec, x0, t_eval):
 
 @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
 def test_delayed_rk4_trace_against_method_of_steps(kind):
-    sc = cli.load_scenario("delay_demo", (f"sim.t_final={T_FINAL}",))
-    plant = cli.build_plant(sc)
+    plant, spec, cfg = cli.build(cli.load_scenario("delay_demo", (f"sim.t_final={T_FINAL}",)))
     assert plant.input_delay > 0
-    spec = dataclasses.replace(cli.build_controller_spec(sc, cli.build_core(sc, plant)),
-                               realization_kind=kind)
-    cfg = cli.build_sim_config(sc)
+    spec = dataclasses.replace(spec, realization_kind=kind)
     trace = simulate(plant, spec, cfg)
     want = oracle_delay_x(plant, spec, cfg.x0, trace.t)
     err = np.max(np.abs(trace.x - want)) / np.max(np.abs(want))

@@ -14,7 +14,6 @@ from asdinv import (
     PiController,
     SimConfig,
     build_core,
-    closed_realization,
     make_controller,
     simulate,
     x_to_u_response,
@@ -71,8 +70,7 @@ class TestSpec:
     def test_accepted_epsilon_gives_finite_realizations(self, scenario):
         # the PI gains first overflow between 5e-307 (f16) and 6e-309 (synthetic);
         # wherever they are finite, so is every matrix of both realizations
-        sc = cli.load_scenario(scenario)
-        core = cli.build_core(sc, cli.build_plant(sc))
+        core = cli.build(cli.load_scenario(scenario))[1].core
         accepted = 0
         for epsilon in np.logspace(-305, -310, 51):
             try:
@@ -81,8 +79,8 @@ class TestSpec:
                 continue
             accepted += 1
             for kind in ("pi_closed", "observer"):
-                c = make_controller(dataclasses.replace(spec, realization_kind=kind))
-                cl = closed_realization(c)
+                kind_spec = dataclasses.replace(spec, realization_kind=kind)
+                c, cl = make_controller(kind_spec), kind_spec.closed_realization
                 for M in (c.F, c.Gx, c.Gu, c.H, c.D, cl.F, cl.G_in, cl.H, cl.D):
                     assert np.all(np.isfinite(M)), (epsilon, kind)
         assert 0 < accepted < 51  # the grid straddles the threshold
@@ -157,7 +155,7 @@ class TestStateSpace:
         # one stacked solve gives the bits of one solve per s
         core = request.getfixturevalue(core_name)
         spec = spec_for(core, 0.05, -1e9, 1e9, kind=kind)
-        closed = closed_realization(make_controller(spec))
+        closed = spec.closed_realization
         s = 1j * np.logspace(-2, 2, 20)
         assert np.array_equal(closed.response(s), np.array([closed.response(v) for v in s]))
         assert np.array_equal(x_to_u_response(spec, s.imag), closed.response(s))
@@ -168,7 +166,7 @@ class TestStateSpace:
     def test_response_solves_a_stack_of_matrices(self, siso_core, monkeypatch):
         # numpy 1.x reads a right-hand side with one dimension fewer than the
         # stack as a stack of vectors; response must hand over matrices
-        closed = closed_realization(make_controller(spec_for(siso_core, 0.05, -1e9, 1e9, kind="observer")))
+        closed = spec_for(siso_core, 0.05, -1e9, 1e9, kind="observer").closed_realization
         solve, shapes = np.linalg.solve, []
 
         def checked_solve(a, b):

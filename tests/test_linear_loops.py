@@ -26,10 +26,7 @@ from asdinv import cli, simulate, x_to_u_response
 
 
 def case(name, *overrides):
-    sc = cli.load_scenario(name, overrides)
-    plant = cli.build_plant(sc)
-    core = cli.build_core(sc, plant)
-    return plant, cli.build_controller_spec(sc, core), cli.build_sim_config(sc)
+    return cli.build(cli.load_scenario(name, overrides))
 
 
 def input_gain_and_state_map(plant):

@@ -112,10 +112,7 @@ def reference_simulate(plant, spec, cfg, with_decomposition=False):
 
 
 def bundled_case(name, t_final=0.5):
-    sc = cli.load_scenario(name, (f"sim.t_final={t_final}",))
-    plant = cli.build_plant(sc)
-    core = cli.build_core(sc, plant)
-    return plant, cli.build_controller_spec(sc, core), cli.build_sim_config(sc)
+    return cli.build(cli.load_scenario(name, (f"sim.t_final={t_final}",)))
 
 
 def delay_case(tau):
@@ -332,7 +329,7 @@ class TestSimulate:
         core = build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
         spec = spec_for(core, 2e-4, -1e15, 1e15)
         cfg = SimConfig(dt=1e-3, t_final=1.0, x0=np.array([1.0, 0.0]))
-        with pytest.raises(NonFiniteState) as exc:
+        with pytest.warns(UserWarning, match="RK4 may be unstable"), pytest.raises(NonFiniteState) as exc:
             simulate(plant, spec, cfg)
         assert exc.value.blowup_time is not None
         assert exc.value.trace is not None
@@ -383,7 +380,7 @@ class TestOracle:
         spec = spec_for(core, 2e-4, -1e15, 1e15)
         cfg = SimConfig(dt=1e-3, t_final=1.0, x0=np.array([1.0, 0.0]), record_stride=7)
         want, blowup_time = reference_simulate(plant, spec, cfg)
-        with pytest.raises(NonFiniteState) as exc:
+        with pytest.warns(UserWarning, match="RK4 may be unstable"), pytest.raises(NonFiniteState) as exc:
             simulate(plant, spec, cfg)
         assert blowup_time is not None
         assert exc.value.blowup_time == blowup_time
@@ -443,7 +440,7 @@ class TestCallCounts:
         plant = synthetic_lti(g=1.0, d_amp=0.0)
         core = build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
         cfg = SimConfig(dt=1e-3, t_final=1.0, x0=np.array([1.0, 0.0]))
-        with pytest.raises(NonFiniteState) as exc:
+        with pytest.warns(UserWarning, match="RK4 may be unstable"), pytest.raises(NonFiniteState) as exc:
             simulate(counting(plant, counts), spec_for(core, 2e-4, -1e15, 1e15), cfg)
         self.check(counts, round(exc.value.blowup_time / cfg.dt))
 
@@ -480,17 +477,21 @@ class TestStiffnessGuard:
 
     @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
     def test_guard_reads_the_running_controller(self, monkeypatch, kind):
-        # one simulate call builds one controller, for the guard and the loop alike
+        # each run builds the controller it runs; the guard reads the spec's closed
+        # realization, which the first run builds once
         built = []
         for cls in (PiController, ObserverController):
             def counted_init(self, spec, _init=cls.__init__):
-                built.append(spec)
+                built.append((type(self), spec))
                 _init(self, spec)
 
             monkeypatch.setattr(cls, "__init__", counted_init)
         plant, spec, cfg = bundled_case("siso", t_final=0.01)
-        simulate(plant, dataclasses.replace(spec, realization_kind=kind), cfg)
-        assert len(built) == 1
+        run_spec = dataclasses.replace(spec, realization_kind=kind)
+        simulate(plant, run_spec, cfg)
+        simulate(plant, run_spec, cfg)
+        cls = {"pi_closed": PiController, "observer": ObserverController}[kind]
+        assert len(built) == 3 and all(c is cls and s is run_spec for c, s in built)
 
     def test_gains_near_the_float_limit_warn_and_do_not_raise(self):
         # every epsilon that ControllerSpec accepts down to its overflow refusal, on
