@@ -85,6 +85,9 @@ EDGE_CASES = (
     ("simulate", "--scenario", "siso", "--set", "sim.x0=[1e300,1,1]", "--set", "sim.t_final=0.01"),
     # an eps_max near the float floor: 1/epsilon overflows at eps_grid's first entry, silently
     ("bound", "--scenario", "synthetic", "--set", "plant.S=[[1e152,1e152]]"),
+    # a simulate whose summary.json config has a non-default realization and stride: 101 rows
+    ("simulate", "--scenario", "quadrotor", "--set", "realization=observer", "--set", "sim.record_stride=7",
+     "--set", "sim.t_final=0.7"),
 )
 # "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
 WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)

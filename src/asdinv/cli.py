@@ -271,7 +271,11 @@ def cmd_simulate(sc: Scenario, plant, spec, cfg, args) -> int:
         "scenario": sc.name,
         "diverged": False,
         "metrics": dataclasses.asdict(m),
-        "config": {**trace.metadata, "scenario": sc.name},
+        "config": {
+            "scenario": sc.name, "plant": plant.name, "epsilon": spec.epsilon,
+            "realization": spec.realization_kind, "u_min": spec.u_min.tolist(), "u_max": spec.u_max.tolist(),
+            "dt": cfg.dt, "t_final": cfg.t_final, "x0": cfg.x0.tolist(), "record_stride": cfg.record_stride,
+        },
     })
     print(f"[{sc.name}] sup-tail ||x|| = {m.sup_tail:.3e}, E = {m.energy:.3f}, "
           f"max|u| = {np.max(m.max_abs_u):.3f}, sat = {100 * m.sat_fraction:.1f}%")

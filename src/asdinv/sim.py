@@ -16,7 +16,7 @@ max|s| <= 1e12 runs only where the pre-check s.s <= 0.99e24 fails.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -68,7 +68,6 @@ class Trace:
     y: np.ndarray
     d_hat: np.ndarray
     sat: np.ndarray
-    metadata: dict = field(default_factory=dict)
     y_p: Optional[np.ndarray] = None
     y_s: Optional[np.ndarray] = None
 
@@ -225,18 +224,6 @@ def simulate(
         y=Y,
         d_hat=Y - S[:, nq:nqm],
         sat=rec_sat[:nrec],
-        metadata={
-            "scenario": plant.name,
-            "plant": plant.name,
-            "epsilon": controller.epsilon,
-            "realization": controller.realization_kind,
-            "u_min": controller.u_min.tolist(),
-            "u_max": controller.u_max.tolist(),
-            "dt": dt,
-            "t_final": simcfg.t_final,
-            "x0": simcfg.x0.tolist(),
-            "record_stride": stride,
-        },
         y_p=S[:, nq:nqm],
         y_s=S[:, nqm:] if with_decomposition else None,
     )

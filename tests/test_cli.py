@@ -529,9 +529,12 @@ class TestOutputs:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["diverged"] is False
         assert summary["metrics"]["energy"] >= 0
-        # config names the scenario, and its plant apart from it
-        assert list(summary["config"])[:2] == ["scenario", "plant"]
-        assert (summary["config"]["scenario"], summary["config"]["plant"]) == ("synthetic", "synthetic_lti")
+        # config names the scenario, and its plant apart from it: every key, in order
+        assert list(summary["config"].items()) == [
+            ("scenario", "synthetic"), ("plant", "synthetic_lti"), ("epsilon", 0.005),
+            ("realization", "pi_closed"), ("u_min", [-1000.0]), ("u_max", [1000.0]), ("dt", 0.001),
+            ("t_final", 2.0), ("x0", [1.0, 0.0]), ("record_stride", 10),
+        ]
 
     def test_simulate_deterministic(self, tmp_path):
         argv = [

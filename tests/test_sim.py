@@ -314,13 +314,6 @@ class TestSimulate:
         scale = max(np.max(np.abs(synthetic_trace.y_s[tail])), 1e-9)
         assert err < 0.05 * scale
 
-    def test_metadata_roundtrip(self, siso_trace):
-        md = siso_trace.metadata
-        assert md["scenario"] == md["plant"] == "hsu_siso"
-        assert md["epsilon"] == 0.1
-        assert md["dt"] == 1e-3 and md["t_final"] == 20.0
-        assert md["x0"] == [1.0, 1.0, 1.0]
-
     def test_divergence_raises_with_truncated_trace(self):
         # the filter constant puts a closed-loop mode near -1/epsilon =
         # -5000; with dt = 1e-3 that is far outside the RK4 stability
@@ -367,12 +360,6 @@ class TestOracle:
         for name, ref in want.items():
             got = getattr(tr, name)
             assert (got is None) if ref is None else np.array_equal(got, ref), name
-        assert tr.metadata == {
-            "scenario": plant.name, "plant": plant.name, "epsilon": spec.epsilon,
-            "realization": kind, "u_min": spec.u_min.tolist(), "u_max": spec.u_max.tolist(),
-            "dt": cfg.dt, "t_final": cfg.t_final, "x0": cfg.x0.tolist(),
-            "record_stride": cfg.record_stride,
-        }
 
     def test_divergence_bit_identical(self):
         plant = synthetic_lti(g=1.0, d_amp=0.0)
