@@ -1,7 +1,8 @@
 """Runtime controller: two realizations of u = -(I - Q)^-1 Q G^-1 C^T x.
 
-Each realization is a state-space quadruple (F, Gx, Gu, H, D) with zero
-initial state: s' = F s + Gx x + Gu sat(u), u = H s + D x; Q = 1/(eps s + 1).
+Each realization is a function from a ControllerSpec to a state-space
+quadruple (F, Gx, Gu, H, D) on the full state x, with zero initial state:
+s' = F s + Gx x + Gu sat(u), u = H s + D x; Q = 1/(eps s + 1).
 
 PI form, s = integral(K_i x): F = 0, Gx = K_i, Gu = 0, H = -I, D = -K_p,
 with K_p = (1/eps)(C^T B)^-1 C^T and K_i = (1/eps)(C^T B)^-1 Lam C^T.
@@ -12,13 +13,11 @@ filter (s + lam_i)/(eps s + 1) = 1/eps + (lam_i - 1/eps)/(eps s + 1):
 F = [[-Lam, 0], [-I/eps, -I/eps]], Gx = [[0], [C^T/eps]], Gu = [[C^T B], [0]],
 H = -(C^T B)^-1 [-I/eps, Lam - I/eps], D = -(C^T B)^-1 C^T/eps.
 
-The quadruple gives the frequency response; the simulator runs
-`unsat_output(s, v)` (H s + D x) and `derivative(s, v, u)`
-(F s + Gx x + Gu u) on v = `measure(x)`, x or C^T x, in the textbook
-arithmetic of each form. Tests tie the two together. Each class sets its
-quadruple, `state_dim`, `measure` and the fields its maps read. A
-ControllerSpec keeps the PI gains K_p, K_i that it checks for overflow,
-and builds its closed realization once, on first use.
+One class, StateSpaceController, runs either quadruple: the simulator
+calls its `unsat_output(s, x)` (H s + D x) and `derivative(s, x, u)`
+(F s + Gx x + Gu u). The closed quadruple gives the frequency response.
+A ControllerSpec keeps the PI gains K_p, K_i that it checks for
+overflow, and closes its quadruple once, on first use.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from .numlin import as_float
 
 __all__ = [
     "ControllerSpec",
-    "PiController",
-    "ObserverController",
+    "StateSpaceController",
     "make_controller",
     "x_to_u_response",
 ]
@@ -74,66 +72,58 @@ class ControllerSpec:
     def closed_realization(self) -> LtiRealization:
         """The unsaturated x -> u map, built once per spec: u = H s + D x closed
         around s' = F s + Gx x + Gu u, i.e. D + H (sI - F - Gu H)^-1 (Gx + Gu D)."""
-        c = make_controller(self)
-        return LtiRealization(F=c.F + c.Gu @ c.H, G_in=c.Gx + c.Gu @ c.D, H=c.H, D=c.D)
+        F, Gx, Gu, H, D = _REALIZATIONS[self.realization_kind](self)
+        return LtiRealization(F=F + Gu @ H, G_in=Gx + Gu @ D, H=H, D=D)
 
 
-class PiController:
-    """Closed PI realization driven by the full state x."""
+class StateSpaceController:
+    """Runs a quadruple on the full state x: u = H s + D x, s' = F s + Gx x + Gu u.
 
-    def __init__(self, spec: ControllerSpec):
-        m = self.state_dim = spec.core.m
-        self.F, self.Gx, self.Gu = np.zeros((m, m)), spec.Ki, np.zeros((m, m))
-        self.H, self.D = -np.eye(m), -spec.Kp
-
-    def unsat_output(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.D.dot(x) - s
-
-    def derivative(self, s: np.ndarray, x: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
-        return self.Gx.dot(x)
-
-    measure = staticmethod(lambda x: x)  # PI reads x itself
-
-
-class ObserverController:
-    """Observer realization driven by the redefined output y = C^T x.
-
-    State layout: [y_p (m), w (m)].
+    derivative leaves out F and Gu when they are all zero, so the PI
+    form's is Gx x alone.
     """
 
-    def __init__(self, spec: ControllerSpec):
-        core, eps = spec.core, spec.epsilon
-        m, n, lam = core.m, core.n, core.lam_diag
-        self.eps, self.m, self.state_dim = eps, m, 2 * m
-        self.CtB = core.CtB
-        self._Ct = core.C.T
-        self.measure = self._Ct.dot  # y = C^T x
-        self._neg_CtB_inv = -core.CtB_inv
-        self._neg_lam = -lam
-        self._lam_minus_inv_eps = lam - 1.0 / eps
-        I, Z = np.eye(m), np.zeros((m, m))
-        self.F = np.block([[-core.Lam, Z], [-I / eps, -I / eps]])
-        self.Gx = np.vstack((np.zeros((m, n)), self._Ct / eps))
-        self.Gu = np.vstack((self.CtB, Z))
-        self.H = self._neg_CtB_inv @ np.hstack((-I / eps, core.Lam - I / eps))
-        self.D = self._neg_CtB_inv @ self._Ct / eps
+    def __init__(self, F, Gx, Gu, H, D):
+        self.F, self.Gx, self.Gu, self.H, self.D = F, Gx, Gu, H, D
+        self.state_dim = len(F)
+        self._F_dot = F.dot if F.any() else None
+        self._Gu_dot = Gu.dot if Gu.any() else None
 
-    def unsat_output(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-        m = self.m
-        return self._neg_CtB_inv.dot((y - s[:m]) / self.eps + self._lam_minus_inv_eps * s[m:])
+    def unsat_output(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.H.dot(s) + self.D.dot(x)
 
-    def derivative(self, s: np.ndarray, y: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
-        m = self.m
-        yp, w = s[:m], s[m:]
-        dyp = self._neg_lam * yp + self.CtB.dot(u_applied)
-        return np.concatenate((dyp, (y - yp - w) / self.eps))  # (d_hat - w) / eps
+    def derivative(self, s: np.ndarray, x: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
+        ds = self.Gx.dot(x)
+        if self._F_dot is not None:
+            ds += self._F_dot(s)  # the bits of F s + Gx x, since addition commutes
+        if self._Gu_dot is not None:
+            ds += self._Gu_dot(u_applied)
+        return ds
 
 
-_REALIZATIONS = {"pi_closed": PiController, "observer": ObserverController}
+def _pi_quadruple(spec: ControllerSpec):
+    m = spec.core.m
+    return np.zeros((m, m)), spec.Ki, np.zeros((m, m)), -np.eye(m), -spec.Kp
 
 
-def make_controller(spec: ControllerSpec):
-    return _REALIZATIONS[spec.realization_kind](spec)
+def _observer_quadruple(spec: ControllerSpec):
+    core, eps = spec.core, spec.epsilon
+    m, n = core.m, core.n
+    neg_CtB_inv, Ct = -core.CtB_inv, core.C.T
+    I, Z = np.eye(m), np.zeros((m, m))
+    F = np.block([[-core.Lam, Z], [-I / eps, -I / eps]])
+    Gx = np.vstack((np.zeros((m, n)), Ct / eps))
+    Gu = np.vstack((core.CtB, Z))
+    H = neg_CtB_inv @ np.hstack((-I / eps, core.Lam - I / eps))
+    D = neg_CtB_inv @ Ct / eps
+    return F, Gx, Gu, H, D
+
+
+_REALIZATIONS = {"pi_closed": _pi_quadruple, "observer": _observer_quadruple}
+
+
+def make_controller(spec: ControllerSpec) -> StateSpaceController:
+    return StateSpaceController(*_REALIZATIONS[spec.realization_kind](spec))
 
 
 def x_to_u_response(spec: ControllerSpec, omegas) -> np.ndarray:

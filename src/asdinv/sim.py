@@ -100,8 +100,7 @@ def simulate(
     Pass k of the loop computes the clamped control u(t_k) at t_k = k dt
     once: it fills recorded row k / stride (when the stride divides k), the
     delay history and the first RK4 stage. So unsat_output runs at most
-    4 steps + 1 times, and measure 5 steps + 1 (once in each stage and once
-    at each step point). The pass at k = steps only records.
+    4 steps + 1 times. The pass at k = steps only records.
 
     With an input delay tau > 0, h receives u(t - tau): zero before
     t = tau, and after that the linear interpolation of the step-point
@@ -124,7 +123,7 @@ def simulate(
         raise ValueError(f"x0 must have length {n}")
 
     ctrl = make_controller(controller)
-    measure, unsat_output, ctrl_derivative = ctrl.measure, ctrl.unsat_output, ctrl.derivative
+    unsat_output, ctrl_derivative = ctrl.unsat_output, ctrl.derivative
     q = ctrl.state_dim
     nq, nqm = n + q, n + q + m
     # augmented layout: [x (n), controller (q), y_p (m), (y_s (m))]
@@ -176,13 +175,12 @@ def simulate(
     def deriv(t: float, s: np.ndarray, u: Optional[np.ndarray] = None) -> np.ndarray:
         """Closed-loop derivative at (t, s); u is the clamped control there, computed if not given."""
         x, sc = s[:n], s[n:nq]
-        v = measure(x)
         if u is None:
-            u = np.minimum(np.maximum(unsat_output(sc, v), u_min), u_max)
+            u = np.minimum(np.maximum(unsat_output(sc, x), u_min), u_max)
         hv = h(t, delayed_u(t) if tau else u, x)
         sv = sig(t, x)
         dx = A0.dot(x) + B.dot(hv + sv)
-        dc = ctrl_derivative(sc, v, u)
+        dc = ctrl_derivative(sc, x, u)
         dyp = neg_lam * s[nq:nqm] + CtB.dot(u)
         if with_decomposition:
             dys = neg_lam * s[nqm:] + CtB.dot(-u + hv - Kt.dot(x) + sv)
@@ -197,7 +195,7 @@ def simulate(
     blowup_time = None
     with np.errstate(all="ignore"):  # an overflow shows as a blown-up state, reported below
         for k in range(nsteps + 1):
-            u_unsat = unsat_output(s[n:nq], measure(s[:n]))
+            u_unsat = unsat_output(s[n:nq], s[:n])
             u = np.minimum(np.maximum(u_unsat, u_min), u_max)
             if k % stride == 0:
                 rec_s[k // stride] = s

@@ -13,6 +13,7 @@ from asdinv import (
     synthetic_lti,
     simulate,
 )
+from asdinv import controller_rt
 
 F16_K = np.array([
     [-27.5037, 93.4020],
@@ -67,6 +68,16 @@ def synthetic_plant():
 @pytest.fixture(scope="session")
 def synthetic_core(synthetic_plant):
     return build_core(synthetic_plant.A0, synthetic_plant.B, [-0.5, -1.0], [-1.0])
+
+
+@pytest.fixture
+def realization_calls(monkeypatch):
+    """(kind, spec) for each call of a realization function (spec -> quadruple)."""
+    calls = []
+    for kind, quadruple in controller_rt._REALIZATIONS.items():
+        monkeypatch.setitem(controller_rt._REALIZATIONS, kind,
+                            lambda spec, _kind=kind, _f=quadruple: calls.append((_kind, spec)) or _f(spec))
+    return calls
 
 
 def spec_for(core, epsilon, lo, hi, kind="pi_closed"):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import asdinv
-from asdinv import asd_design, cli, controller_rt
+from asdinv import asd_design, cli, controller_rt, sim
 from asdinv.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
@@ -250,22 +250,20 @@ class TestExitCodes:
         assert run(argv) == EXIT_OK
         assert len(calls) == 1
 
-    def test_verify_builds_each_spec_twice(self, tmp_path, monkeypatch):
-        # each of the three runs builds the controller it runs, and each spec builds one more
-        # for its closed realization: the stiffness guard's, the response's and the cond bound's
+    def test_verify_builds_each_spec_twice(self, tmp_path, monkeypatch, realization_calls):
+        # each of the three runs builds the controller it runs, and each spec closes its
+        # quadruple once more: the stiffness guard's, the response's and the cond bound's.
+        # So 3 controllers are built, and each spec's realization function runs twice
         built, closed = [], []
-        for cls in (controller_rt.PiController, controller_rt.ObserverController):
-            def counted_init(self, spec, _init=cls.__init__):
-                built.append(spec)
-                _init(self, spec)
-
-            monkeypatch.setattr(cls, "__init__", counted_init)
+        make = sim.make_controller
+        monkeypatch.setattr(sim, "make_controller", lambda spec: built.append(spec) or make(spec))
         prop = controller_rt.ControllerSpec.__dict__["closed_realization"]
         monkeypatch.setattr(prop, "func", lambda spec, _func=prop.func: closed.append(spec) or _func(spec))
         argv = ["verify", "--scenario", "siso", "--set", "sim.t_final=0.2", "--out", str(tmp_path)]
         assert run(argv) == EXIT_OK
-        specs = list({id(spec): spec for spec in built}.values())
-        assert len(specs) == 3 and [sum(b is spec for b in built) for spec in specs] == [2, 2, 2]
+        specs = list({id(spec): spec for _, spec in realization_calls}.values())
+        assert len(specs) == 3 and [sum(s is spec for _, s in realization_calls) for spec in specs] == [2, 2, 2]
+        assert len(built) == 3 and all(any(b is spec for b in built) for spec in specs)
         assert len(closed) == 3 and all(any(c is spec for c in closed) for spec in specs)
         assert not hasattr(cli, "make_controller") and not hasattr(controller_rt, "closed_realization")
 

@@ -1,6 +1,6 @@
-"""Controller realizations: gain formulas, specs and saturation bounds, the
-quadruple behind the runtime maps, and the time/frequency equivalence of
-the closed PI form and the observer form."""
+"""Controller realizations: gain formulas, specs and saturation bounds, each
+quadruple against its realization's textbook maps, and the time/frequency
+equivalence of the closed PI form and the observer form."""
 
 import dataclasses
 
@@ -10,15 +10,14 @@ import pytest
 from asdinv import (
     ControllerSpec,
     LtiRealization,
-    ObserverController,
-    PiController,
     SimConfig,
+    StateSpaceController,
     build_core,
     make_controller,
     simulate,
     x_to_u_response,
 )
-from asdinv import cli
+from asdinv import cli, controller_rt
 
 from conftest import spec_for
 
@@ -85,12 +84,17 @@ class TestSpec:
                     assert np.all(np.isfinite(M)), (epsilon, kind)
         assert 0 < accepted < 51  # the grid straddles the threshold
 
-    def test_factory(self, siso_core):
-        assert isinstance(make_controller(spec_for(siso_core, 0.1, -5, 5)), PiController)
-        assert isinstance(
-            make_controller(spec_for(siso_core, 0.1, -5, 5, kind="observer")),
-            ObserverController,
-        )
+    def test_factory(self, siso_core, realization_calls):
+        # make_controller runs its kind's realization function once, and the one
+        # controller class holds the quadruple that function returns
+        for kind in ("pi_closed", "observer"):
+            spec = spec_for(siso_core, 0.1, -5, 5, kind=kind)
+            c = make_controller(spec)
+            (got_kind, got_spec), = realization_calls
+            assert type(c) is StateSpaceController and got_kind == kind and got_spec is spec
+            quadruple = controller_rt._REALIZATIONS[kind](spec)
+            assert all(np.array_equal(a, b) for a, b in zip((c.F, c.Gx, c.Gu, c.H, c.D), quadruple))
+            realization_calls.clear()
 
 
 class TestEquivalence:
@@ -119,24 +123,46 @@ class TestEquivalence:
         assert np.max(np.abs(tr_pi.u - tr_ob.u)) < 1e-6 * scale
 
 
+def textbook_maps(spec):
+    """(output, derivative) of the spec's realization in the arithmetic of its
+    derivation: PI's u = -K_p x - s, s' = K_i x; the observer's u =
+    -(C^T B)^-1 ((y - y_p)/eps + (Lam - I/eps) w), y_p' = -Lam y_p + C^T B u,
+    w' = (y - y_p - w)/eps, on y = C^T x."""
+    if spec.realization_kind == "pi_closed":
+        return (lambda s, x: -spec.Kp @ x - s), (lambda s, x, u: spec.Ki @ x)
+    core, eps = spec.core, spec.epsilon
+    m, lam, Ct = core.m, core.lam_diag, core.C.T
+
+    def output(s, x):
+        return -core.CtB_inv @ ((Ct @ x - s[:m]) / eps + (lam - 1.0 / eps) * s[m:])
+
+    def derivative(s, x, u):
+        yp, w = s[:m], s[m:]
+        return np.concatenate((-lam * yp + core.CtB @ u, (Ct @ x - yp - w) / eps))
+
+    return output, derivative
+
+
 class TestStateSpace:
-    """The quadruple (F, Gx, Gu, H, D) describes the maps the simulator runs."""
+    """The quadruple (F, Gx, Gu, H, D) that the simulator runs is its realization."""
 
     @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
     @pytest.mark.parametrize("core_name", ["siso_core", "f16_core"])
     def test_quadruple_matches_runtime_maps(self, request, core_name, kind):
         core = request.getfixturevalue(core_name)
-        ctrl = make_controller(spec_for(core, 0.05, -1e9, 1e9, kind=kind))
+        spec = spec_for(core, 0.05, -1e9, 1e9, kind=kind)
+        ctrl = make_controller(spec)
+        output, derivative = textbook_maps(spec)
         rng = np.random.default_rng(7)
         for _ in range(20):
             s = rng.normal(size=ctrl.state_dim)
             x = rng.normal(size=core.n)
             u = rng.normal(size=core.m)
-            out = ctrl.H @ s + ctrl.D @ x
-            np.testing.assert_allclose(ctrl.unsat_output(s, ctrl.measure(x)), out,
+            out = output(s, x)
+            np.testing.assert_allclose(ctrl.unsat_output(s, x), out,
                                        rtol=1e-12, atol=1e-12 * np.max(np.abs(out)))
-            ds = ctrl.F @ s + ctrl.Gx @ x + ctrl.Gu @ u
-            np.testing.assert_allclose(ctrl.derivative(s, ctrl.measure(x), u), ds,
+            ds = derivative(s, x, u)
+            np.testing.assert_allclose(ctrl.derivative(s, x, u), ds,
                                        rtol=1e-12, atol=1e-12 * np.max(np.abs(ds)))
 
     @pytest.mark.parametrize("core_name", ["siso_core", "f16_core"])

@@ -18,19 +18,19 @@ from asdinv import (
     delayed_input_lti,
     energy_index,
     export_csv,
+    make_controller,
     metrics,
     simulate,
     synthetic_lti,
 )
-
-from asdinv.controller_rt import ObserverController, PiController
 
 from conftest import spec_for
 
 
 def reference_simulate(plant, spec, cfg, with_decomposition=False):
     """Plain RK4 of the closed loop: every stage, and every recorded sample,
-    evaluates the controller from the textbook formulas of its realization.
+    evaluates the controller, PI from its textbook formulas and the observer
+    from its quadruple (H s + D x, F s + Gx x + Gu u).
 
     Returns (Trace fields as a dict, blow-up time or None).
     """
@@ -40,6 +40,7 @@ def reference_simulate(plant, spec, cfg, with_decomposition=False):
     CtB_inv = np.linalg.inv(CtB)
     Kp = (1.0 / eps) * CtB_inv @ Ct
     Ki = (1.0 / eps) * CtB_inv @ np.diag(lam) @ Ct
+    ctrl = make_controller(spec)
     q = m if spec.realization_kind == "pi_closed" else 2 * m
     nq, nqm = n + q, n + q + m
     hist = []  # u at every step point
@@ -49,7 +50,7 @@ def reference_simulate(plant, spec, cfg, with_decomposition=False):
         if spec.realization_kind == "pi_closed":
             uu = -Kp @ x - c
         else:
-            uu = -CtB_inv @ ((Ct @ x - c[:m]) / eps + (lam - 1.0 / eps) * c[m:])
+            uu = ctrl.H @ c + ctrl.D @ x
         u = np.minimum(np.maximum(uu, spec.u_min), spec.u_max)
         return u, bool(np.any(u != uu))
 
@@ -70,7 +71,7 @@ def reference_simulate(plant, spec, cfg, with_decomposition=False):
         if spec.realization_kind == "pi_closed":
             dc = Ki @ x
         else:
-            dc = np.concatenate([-lam * c[:m] + CtB @ u, (Ct @ x - c[:m] - c[m:]) / eps])
+            dc = ctrl.F @ c + ctrl.Gx @ x + ctrl.Gu @ u
         ds = [A0 @ x + B @ (hv + sv), dc, -lam * s[nq:nqm] + CtB @ u]
         if with_decomposition:
             ds.append(-lam * s[nqm:] + CtB @ (-u + hv - core.K.T @ x + sv))
@@ -395,12 +396,12 @@ class TestCallCounts:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = dict(h=0, sigma=0, unsat_output=0, derivative=0, measure=0)
+        counts = dict(h=0, sigma=0, unsat_output=0, derivative=0)
         make_controller = sim.make_controller
 
         def counted_controller(spec):
             ctrl = make_controller(spec)
-            for name in ("unsat_output", "derivative", "measure"):
+            for name in ("unsat_output", "derivative"):
                 def method(*args, _fn=getattr(ctrl, name), _name=name):
                     counts[_name] += 1
                     return _fn(*args)
@@ -431,18 +432,6 @@ class TestCallCounts:
             simulate(counting(plant, counts), spec_for(core, 2e-4, -1e15, 1e15), cfg)
         self.check(counts, round(exc.value.blowup_time / cfg.dt))
 
-    @pytest.mark.parametrize("case, stride", [("siso", 1), ("siso", 3), ("delay_tau_half_dt", 1),
-                                              ("delay_tau_half_dt", 3), ("diverging", None)])
-    def test_measure_once_per_stage(self, counts, case, stride):
-        # the observer's y = C^T x (PI's x) is read once per RK4 stage and once per step point;
-        # the runs are the two tests above, their checks included
-        if case == "diverging":
-            self.test_diverging_run(counts)
-        else:
-            self.test_normal_run(counts, case, stride)
-        steps = counts["derivative"] // 4  # check pins derivative at 4 calls a step
-        assert counts["measure"] <= 5 * steps + 1
-
 
 class TestStiffnessGuard:
     """simulate warns when dt times the spectral radius of the nominal loop reaches 2.5."""
@@ -463,22 +452,15 @@ class TestStiffnessGuard:
             simulate(plant, spec, cfg)
 
     @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
-    def test_guard_reads_the_running_controller(self, monkeypatch, kind):
-        # each run builds the controller it runs; the guard reads the spec's closed
-        # realization, which the first run builds once
-        built = []
-        for cls in (PiController, ObserverController):
-            def counted_init(self, spec, _init=cls.__init__):
-                built.append((type(self), spec))
-                _init(self, spec)
-
-            monkeypatch.setattr(cls, "__init__", counted_init)
+    def test_guard_reads_the_running_controller(self, realization_calls, kind):
+        # each run builds the controller it runs from its spec's quadruple; the guard reads
+        # the spec's closed realization, which the first run closes once
         plant, spec, cfg = bundled_case("siso", t_final=0.01)
         run_spec = dataclasses.replace(spec, realization_kind=kind)
         simulate(plant, run_spec, cfg)
         simulate(plant, run_spec, cfg)
-        cls = {"pi_closed": PiController, "observer": ObserverController}[kind]
-        assert len(built) == 3 and all(c is cls and s is run_spec for c, s in built)
+        assert len(realization_calls) == 3
+        assert all(k == kind and s is run_spec for k, s in realization_calls)
 
     def test_gains_near_the_float_limit_warn_and_do_not_raise(self):
         # every epsilon that ControllerSpec accepts down to its overflow refusal, on
