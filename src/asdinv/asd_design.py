@@ -10,7 +10,7 @@ sim.simulate(..., with_decomposition=True).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -22,7 +22,6 @@ from .numlin import ackermann_gain, controllability_rank, real_eig, solve_lyapun
 
 __all__ = [
     "LinearCore",
-    "LtiRealization",
     "StructureReport",
     "build_core",
     "verify_theorem1",
@@ -71,26 +70,10 @@ class LinearCore:
 
 
 @dataclass(frozen=True)
-class LtiRealization:
-    """State-space realization (F, G_in, H, D) of a proper transfer matrix."""
-
-    F: np.ndarray
-    G_in: np.ndarray
-    H: np.ndarray
-    D: np.ndarray
-
-    def response(self, s) -> np.ndarray:
-        """D + H (sI - F)^-1 G_in; an array of s gives the stack, from one solve."""
-        a = np.asarray(s)[..., None, None] * np.eye(self.F.shape[0]) - self.F
-        b = np.broadcast_to(self.G_in, a.shape[:-2] + self.G_in.shape)  # else numpy 1.x sees vectors
-        return self.D + self.H @ np.linalg.solve(a, b)
-
-
-@dataclass(frozen=True)
 class StructureReport:
     theorem1_residual: float
     det_ctb: float
-    checks: dict = field(default_factory=dict)
+    checks: dict
 
 
 def build_core(

@@ -3,7 +3,7 @@
 Scenarios are JSON files (bundled under asdinv/scenarios or given by
 path); dotted-path --set overrides make parameter sweeps reproducible
 from the command line. Exit codes: 0 ok, 2 config error, 3 divergence,
-4 verification failure, 5 missing assumption constants.
+4 verification failure, 5 no assumption constants apply (none given, or an input delay).
 """
 
 from __future__ import annotations
@@ -193,6 +193,8 @@ def build(sc: Scenario) -> tuple[plants.UncertainPlant, ControllerSpec, sim.SimC
 
 
 def _constants(sc: Scenario, plant) -> plants.AssumptionConstants:
+    if plant.input_delay > 0:  # Theorem 2 is stated for h(t, u(t)), so no constants cover a delay
+        raise MissingConstants(f"scenario {sc.name!r}: Theorem 2 excludes input delay {plant.input_delay} s")
     if sc.raw.get("constants"):  # {} falls back to the plant's own
         try:
             return plants.AssumptionConstants(**sc.raw["constants"])

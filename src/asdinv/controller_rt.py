@@ -15,8 +15,9 @@ H = -(C^T B)^-1 [-I/eps, Lam - I/eps], D = -(C^T B)^-1 C^T/eps.
 
 One class, StateSpaceController, runs either quadruple: the simulator
 calls its `unsat_output(s, x)` (H s + D x) and `derivative(s, x, u)`
-(F s + Gx x + Gu u). The closed quadruple gives the frequency response.
-A ControllerSpec keeps the PI gains K_p, K_i that it checks for
+(F s + Gx x + Gu u). The same class holds the closed quadruple
+(F + Gu H, Gx + Gu D, 0, H, D), whose `response(s)` is the frequency
+response. A ControllerSpec keeps the PI gains K_p, K_i that it checks for
 overflow, and closes its quadruple once, on first use.
 """
 
@@ -27,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .asd_design import LinearCore, LtiRealization
+from .asd_design import LinearCore
 from .numlin import as_float
 
 __all__ = [
@@ -69,11 +70,11 @@ class ControllerSpec:
             raise ValueError(f"unknown realization {self.realization_kind!r}")
 
     @cached_property
-    def closed_realization(self) -> LtiRealization:
+    def closed_realization(self) -> StateSpaceController:
         """The unsaturated x -> u map, built once per spec: u = H s + D x closed
         around s' = F s + Gx x + Gu u, i.e. D + H (sI - F - Gu H)^-1 (Gx + Gu D)."""
         F, Gx, Gu, H, D = _REALIZATIONS[self.realization_kind](self)
-        return LtiRealization(F=F + Gu @ H, G_in=Gx + Gu @ D, H=H, D=D)
+        return StateSpaceController(F + Gu @ H, Gx + Gu @ D, np.zeros_like(Gu), H, D)
 
 
 class StateSpaceController:
@@ -99,6 +100,14 @@ class StateSpaceController:
         if self._Gu_dot is not None:
             ds += self._Gu_dot(u_applied)
         return ds
+
+    def response(self, s) -> np.ndarray:
+        """D + H (sI - F)^-1 Gx of a closed quadruple; an array of s gives the stack, from one solve."""
+        if self._Gu_dot is not None:
+            raise ValueError("response needs a closed quadruple (Gu = 0)")
+        a = np.asarray(s)[..., None, None] * np.eye(self.state_dim) - self.F
+        b = np.broadcast_to(self.Gx, a.shape[:-2] + self.Gx.shape)  # else numpy 1.x sees vectors
+        return self.D + self.H @ np.linalg.solve(a, b)
 
 
 def _pi_quadruple(spec: ControllerSpec):

@@ -140,7 +140,7 @@ def simulate(
     A0, B = plant.A0, plant.B
     cl = controller.closed_realization  # the nominal loop at the origin: h = u, sigma = 0
     with np.errstate(all="ignore"):  # gains near the float limit can overflow it; rho is then inf
-        loop = np.block([[A0 + B @ cl.D, B @ cl.H], [cl.G_in, cl.F]])
+        loop = np.block([[A0 + B @ cl.D, B @ cl.H], [cl.Gx, cl.F]])
     rho = np.abs(np.linalg.eigvals(loop)).max() if np.isfinite(loop).all() else np.inf
     if dt * rho >= STIFF_DT_RHO:
         warnings.warn(f"dt*rho(nominal loop) = {dt * rho:.2f} >= {STIFF_DT_RHO}; RK4 may be unstable",

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from asdinv import (
     ControllerSpec,
     DesignError,
-    LtiRealization,
     SimConfig,
+    StateSpaceController,
     build_core,
     delayed_input_lti,
     make_controller,
@@ -150,7 +150,7 @@ class TestBuildCoreFaults:
 
 class TestRealization:
     def test_response_matches_closed_form(self, f16_core):
-        G = LtiRealization(F=-f16_core.Lam, G_in=f16_core.CtB, H=np.eye(2), D=np.zeros((2, 2)))
+        G = StateSpaceController(-f16_core.Lam, f16_core.CtB, np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)))
         for w in (0.1, 1.0, 10.0):
             s = 1j * w
             want = np.linalg.solve(

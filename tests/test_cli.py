@@ -266,6 +266,7 @@ class TestExitCodes:
         assert len(built) == 3 and all(any(b is spec for b in built) for spec in specs)
         assert len(closed) == 3 and all(any(c is spec for c in closed) for spec in specs)
         assert not hasattr(cli, "make_controller") and not hasattr(controller_rt, "closed_realization")
+        assert not hasattr(asd_design, "LtiRealization")
 
     @pytest.mark.parametrize("command, scenario, overrides", [
         ("design", "siso", ["epsilon=1e-308"]),
@@ -405,6 +406,10 @@ class TestExitCodes:
         # the dead zone's h has slope 0 on |u| < mu, so no constants hold
         ("bound", lambda raw: raw.update(load_scenario("deadzone").raw), [], EXIT_CONSTANTS,
          "missing constants:"),
+        # Theorem 2 is stated for h(t, u(t)): a constants section does not cover an input delay
+        ("bound", lambda raw: raw.update(load_scenario("delay_demo").raw,
+                                         constants={"l_hu_low": 1, "l_hu_high": 1}),
+         [], EXIT_CONSTANTS, "missing constants: scenario 'delay_demo': Theorem 2 excludes input delay 0.05 s\n"),
         # each design precondition that fails ends the command with exit 2
         ("design", None, ["design.poles=[1.0,-2.0,-3.0]"], EXIT_CONFIG, "error:"),
         ("design", None, ["design.poles=[-1e200,-2e200,-3e200]"], EXIT_CONFIG,
@@ -420,8 +425,8 @@ class TestExitCodes:
             "unknown_plant_field", "unknown_sim_field", "unknown_design_field",
             "unknown_saturation_field", "unknown_top_level_field", "both_K_and_poles",
             "constants_false", "constants_zero", "constants_empty_string", "constants_list",
-            "constants_null", "deadzone_bound", "not_hurwitz", "pole_overflow", "complex_spectrum",
-            "gain_shape",
+            "constants_null", "deadzone_bound", "delay_bound", "not_hurwitz", "pole_overflow",
+            "complex_spectrum", "gain_shape",
             "selection_count", "singular_ctb"])
     def test_exit_path(self, tmp_path, capsys, command, edit, overrides, code, prefix):
         # edit is None for the bundled siso, a str for a file's text, or a

@@ -9,7 +9,6 @@ import pytest
 
 from asdinv import (
     ControllerSpec,
-    LtiRealization,
     SimConfig,
     StateSpaceController,
     build_core,
@@ -80,7 +79,7 @@ class TestSpec:
             for kind in ("pi_closed", "observer"):
                 kind_spec = dataclasses.replace(spec, realization_kind=kind)
                 c, cl = make_controller(kind_spec), kind_spec.closed_realization
-                for M in (c.F, c.Gx, c.Gu, c.H, c.D, cl.F, cl.G_in, cl.H, cl.D):
+                for M in (c.F, c.Gx, c.Gu, c.H, c.D, cl.F, cl.Gx, cl.H, cl.D):
                     assert np.all(np.isfinite(M)), (epsilon, kind)
         assert 0 < accepted < 51  # the grid straddles the threshold
 
@@ -165,6 +164,31 @@ class TestStateSpace:
             np.testing.assert_allclose(ctrl.derivative(s, x, u), ds,
                                        rtol=1e-12, atol=1e-12 * np.max(np.abs(ds)))
 
+    @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
+    @pytest.mark.parametrize("core_name", ["siso_core", "f16_core"])
+    def test_closed_quadruple_runs_the_open_loop_unsaturated(self, request, core_name, kind):
+        # the closed quadruple, fed nothing, gives the open one's maps fed the unclamped u
+        core = request.getfixturevalue(core_name)
+        spec = spec_for(core, 0.05, -1e9, 1e9, kind=kind)
+        ctrl, closed = make_controller(spec), spec.closed_realization
+        assert type(closed) is StateSpaceController and not closed.Gu.any()
+        assert closed.Gu.shape == ctrl.Gu.shape and closed.state_dim == ctrl.state_dim
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            s = rng.normal(size=ctrl.state_dim)
+            x = rng.normal(size=core.n)
+            u = ctrl.unsat_output(s, x)
+            np.testing.assert_allclose(closed.unsat_output(s, x), u,
+                                       rtol=1e-12, atol=1e-12 * np.max(np.abs(u)))
+            ds = ctrl.derivative(s, x, u)
+            np.testing.assert_allclose(closed.derivative(s, x, np.full(core.m, np.nan)), ds,
+                                       rtol=1e-12, atol=1e-12 * np.max(np.abs(ds)))
+
+    def test_response_of_an_open_quadruple_raises(self, siso_core):
+        ctrl = make_controller(spec_for(siso_core, 0.05, -1e9, 1e9, kind="observer"))
+        with pytest.raises(ValueError, match=r"^response needs a closed quadruple \(Gu = 0\)$"):
+            ctrl.response(0.5j)
+
     @pytest.mark.parametrize("core_name", ["siso_core", "f16_core"])
     def test_pi_response_closed_form(self, request, core_name):
         core = request.getfixturevalue(core_name)
@@ -186,7 +210,8 @@ class TestStateSpace:
         assert np.array_equal(closed.response(s), np.array([closed.response(v) for v in s]))
         assert np.array_equal(x_to_u_response(spec, s.imag), closed.response(s))
         # G(s) = (s I + Lam)^-1 C^T B, since the closed PI realization has a pole at s = 0
-        G = LtiRealization(F=-core.Lam, G_in=core.CtB, H=np.eye(core.m), D=np.zeros((core.m, core.m)))
+        m = core.m
+        G = StateSpaceController(-core.Lam, core.CtB, np.zeros((m, m)), np.eye(m), np.zeros((m, m)))
         assert G.response(0.0).dtype == float
 
     def test_response_solves_a_stack_of_matrices(self, siso_core, monkeypatch):
@@ -202,5 +227,5 @@ class TestStateSpace:
         monkeypatch.setattr(np.linalg, "solve", checked_solve)
         closed.response(1j * np.logspace(-2, 2, 5))
         closed.response(0.5j)
-        q, n = closed.G_in.shape
+        q, n = closed.Gx.shape
         assert shapes == [((5, q, q), (5, q, n)), ((q, q), (q, n))]

@@ -4,9 +4,9 @@ On synthetic, quadrotor and quadrotor_payload, and on delay_demo without
 its delay, h = G u and sigma = S x + d(t). So the unsaturated loop is
 linear in the plant state x and the controller state s:
 
-    [x; s]' = [[A0 + B (S + G D), B G H], [G_in, F]] [x; s] + [B d(t); 0],
+    [x; s]' = [[A0 + B (S + G D), B G H], [Gx, F]] [x; s] + [B d(t); 0],
 
-with (F, G_in, H, D) the controller's closed realization. d(t) does not
+with (F, Gx, H, D) the controller's closed realization. d(t) does not
 change stability, so the block's spectral abscissa (the largest real part
 of its eigenvalues) is the exact rate at which x decays or grows. G and S
 come from each plant's own parameters, and the block is written here,
@@ -43,7 +43,7 @@ def abscissa(plant, spec):
     G, S = input_gain_and_state_map(plant)
     cl = spec.closed_realization
     A0, B = plant.A0, plant.B
-    loop = np.block([[A0 + B @ (S + G @ cl.D), B @ G @ cl.H], [cl.G_in, cl.F]])
+    loop = np.block([[A0 + B @ (S + G @ cl.D), B @ G @ cl.H], [cl.Gx, cl.F]])
     return np.linalg.eigvals(loop).real.max()
 
 
