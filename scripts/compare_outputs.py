@@ -88,6 +88,9 @@ EDGE_CASES = (
     # a simulate whose summary.json config has a non-default realization and stride: 101 rows
     ("simulate", "--scenario", "quadrotor", "--set", "realization=observer", "--set", "sim.record_stride=7",
      "--set", "sim.t_final=0.7"),
+    # a verify that passes only because stride 1000 records no row after t = 0 (ROADMAP item 14)
+    ("verify", "--scenario", "siso", "--set", "epsilon=0.01", "--set", "sim.t_final=0.5",
+     "--set", "sim.record_stride=1000"),
 )
 # "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
 WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)

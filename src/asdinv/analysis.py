@@ -157,16 +157,12 @@ def bound_report(
     epsilon: Optional[float] = None,
 ) -> BoundReport:
     """The Theorem-2 report of a design under the given constants; a given
-    epsilon must be positive."""
-    norm = lambda M: float(np.linalg.norm(M, 2))
-    g0 = float(np.min(np.linalg.eigvalsh(core.M)))
-    g1 = 2.0 * (norm(core.K) + consts.l_sigma_x) * norm(core.B) + 2.0 * consts.l_ht / consts.l_hu_low
-    g2 = (
-        norm(core.P) * norm(core.B)
-        + norm(core.A) * (norm(core.K) + consts.l_sigma_x)
-        + norm(core.K)
-        + consts.k_sigma
-    )
+    epsilon must be positive. The Lyapunov weight is M = I (build_core solves
+    P A + A^T P = -I)."""
+    nA, nB, nK, nP = (float(np.linalg.norm(X, 2)) for X in (core.A, core.B, core.K, core.P))
+    g0 = 1.0  # lambda_min(M) with M = I
+    g1 = 2.0 * (nK + consts.l_sigma_x) * nB + 2.0 * consts.l_ht / consts.l_hu_low
+    g2 = nP * nB + nA * (nK + consts.l_sigma_x) + nK + consts.k_sigma
     pw = np.linalg.eigvalsh(core.P)
     return BoundReport(consts, g0, g1, g2, float(pw[0]), float(pw[-1]), epsilon)
 

@@ -34,8 +34,8 @@ class LinearCore:
 
     Invariants (established by build_core): A = A0 + B K^T is Hurwitz
     with a real spectrum, C has unit-norm columns with C^T A = -Lambda C^T,
-    C^T B invertible (see verify_theorem1), and P A + A^T P = -M with
-    P, M > 0.
+    C^T B invertible (see verify_theorem1), and P A + A^T P = -I with
+    P > 0 (Theorem 2's Lyapunov weight M is the identity).
     """
 
     n: int
@@ -46,7 +46,6 @@ class LinearCore:
     C: np.ndarray
     Lam: np.ndarray  # m x m diagonal, positive
     P: np.ndarray
-    M: np.ndarray
 
     @cached_property
     def CtB(self) -> np.ndarray:
@@ -82,7 +81,7 @@ def build_core(
     K_or_poles,
     selected_eigs: Sequence[float],
 ) -> LinearCore:
-    """Run design steps 1-2: feedback gain, output matrix, Lyapunov pair.
+    """Run design steps 1-2: feedback gain, output matrix, Lyapunov matrix.
 
     K_or_poles is either an explicit n x m gain or, for single-input
     plants, a sequence of n desired real poles handed to Ackermann.
@@ -137,10 +136,9 @@ def build_core(
     C = np.column_stack([pairs[i].vector for i in picks])
     Lam = np.diag(-spectrum[picks])
 
-    M = np.eye(n)
-    P = solve_lyapunov(A, M)
+    P = solve_lyapunov(A, np.eye(n))
 
-    core = LinearCore(n=n, m=m, B=B, K=K, A=A, C=C, Lam=Lam, P=P, M=M)
+    core = LinearCore(n=n, m=m, B=B, K=K, A=A, C=C, Lam=Lam, P=P)
     report = core.theorem1
     if not report.checks["ctb_invertible"]:
         raise DesignError(

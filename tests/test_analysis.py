@@ -28,7 +28,7 @@ class TestGammas:
         core, c = synthetic_core, synthetic_plant.constants
         rep = bound_report(core, c)
         sn = lambda M: np.linalg.svd(np.atleast_2d(M), compute_uv=False)[0]
-        want0 = min(np.linalg.eigvalsh(core.M))
+        want0 = 1.0  # lambda_min(M), M = I
         want1 = 2 * (sn(core.K) + c.l_sigma_x) * sn(core.B) + 2 * c.l_ht / c.l_hu_low
         want2 = (
             sn(core.P) * sn(core.B)
@@ -42,7 +42,7 @@ class TestGammas:
 
     def test_gamma0_is_one_for_identity_m(self, siso_core):
         rep = bound_report(siso_core, AssumptionConstants())
-        assert rep.gamma0 == pytest.approx(1.0, abs=1e-12)
+        assert rep.gamma0 == 1.0
 
 
 class TestEpsilonBound:

@@ -62,11 +62,10 @@ class TestBuildCore:
             assert abs(np.linalg.det(core.CtB)) > 1e-6
 
     def test_lyapunov_member(self, siso_core):
-        resid = np.linalg.norm(
-            siso_core.P @ siso_core.A + siso_core.A.T @ siso_core.P + siso_core.M
-        )
+        M = np.eye(siso_core.n)  # build_core's Lyapunov weight
+        resid = np.linalg.norm(siso_core.P @ siso_core.A + siso_core.A.T @ siso_core.P + M)
         assert resid < 1e-8 * (
-            np.linalg.norm(siso_core.P) * np.linalg.norm(siso_core.A) + np.linalg.norm(siso_core.M)
+            np.linalg.norm(siso_core.P) * np.linalg.norm(siso_core.A) + np.linalg.norm(M)
         )
         assert np.min(np.linalg.eigvalsh(siso_core.P)) > 0
 
