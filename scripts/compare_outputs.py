@@ -91,6 +91,8 @@ EDGE_CASES = (
     # a verify that passes only because stride 1000 records no row after t = 0 (ROADMAP item 14)
     ("verify", "--scenario", "siso", "--set", "epsilon=0.01", "--set", "sim.t_final=0.5",
      "--set", "sim.record_stride=1000"),
+    # a quadrotor omega other than 15: the inner gain Kbar places each channel at {-20, -3, -1}
+    ("design", "--scenario", "quadrotor", "--set", "plant.omega=20"),
 )
 # "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
 WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)

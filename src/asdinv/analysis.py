@@ -170,7 +170,6 @@ def bound_report(
 @dataclass(frozen=True)
 class CertificateSeries:
     V: np.ndarray
-    v: np.ndarray  # the lumped mismatch h - K^T x + sigma along the trace
     ball_radius: Optional[float]
     entered_ball_at: Optional[float]
     stays_in_ball: Optional[bool]
@@ -200,5 +199,5 @@ def lyapunov_certificate(
     if radius is not None:
         entered = entry_time(t, V <= radius + CERT_ATOL)
         stays = entered is not None
-    return CertificateSeries(V=V, v=vs, ball_radius=radius, entered_ball_at=entered, stays_in_ball=stays)
+    return CertificateSeries(V=V, ball_radius=radius, entered_ball_at=entered, stays_in_ball=stays)
 

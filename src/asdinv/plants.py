@@ -72,25 +72,31 @@ class UncertainPlant:
     """x' = A0 x + B (h(t, u, x) + sigma(t, x)); h, sigma take one sample or N rows."""
 
     name: str
-    n: int
-    m: int
     A0: np.ndarray
     B: np.ndarray
     h: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     sigma: Callable[[float, np.ndarray], np.ndarray]
     constants: Optional[AssumptionConstants] = None
     input_delay: float = 0.0  # h receives u(t - input_delay) when > 0
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)  # quadrotor_attitude's inner gain Kbar
 
     def __post_init__(self):
         A0 = np.asarray(self.A0, dtype=float)
         B = np.asarray(self.B, dtype=float)
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "B", B)
-        if A0.shape != (self.n, self.n) or B.shape != (self.n, self.m):
-            raise ValueError("A0/B shapes inconsistent with (n, m)")
+        if B.ndim != 2 or A0.shape != (len(B), len(B)):
+            raise ValueError("B must be n x m and A0 n x n")
         if controllability_rank(A0, B) < self.n:
             raise DesignError(f"plant '{self.name}': (A0, B) is not controllable")
+
+    @property
+    def n(self) -> int:
+        return self.B.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.B.shape[1]
 
 
 def hsu_siso() -> UncertainPlant:
@@ -111,7 +117,7 @@ def hsu_siso() -> UncertainPlant:
         r = np.sqrt(xt[0] * xt[0] + xt[1] * xt[1] + xt[2] * xt[2])
         return np.array([(0.3 + 0.2 * np.cos(xt[0])) * r - 0.5 * np.sin(xt[1])]).T
 
-    return UncertainPlant("hsu_siso", 3, 1, A0, B, h, sigma)
+    return UncertainPlant("hsu_siso", A0, B, h, sigma)
 
 
 def f16_rollyaw(f2_typo_fix: bool = False) -> UncertainPlant:
@@ -162,15 +168,7 @@ def f16_rollyaw(f2_typo_fix: bool = False) -> UncertainPlant:
     def sigma(t, x):
         return np.zeros(x.shape[:-1] + (2,))
 
-    return UncertainPlant(
-        "f16_rollyaw", 4, 2, A0, B, h, sigma, meta={"f2_typo_fix": f2_typo_fix}
-    )
-
-
-def _quad_channel_gain() -> np.ndarray:
-    # exact placement of {-15, -3, -1} on the omega = 15 channel;
-    # rounds to the published [-3.0, -4.2, -0.27]
-    return np.array([[-3.0], [-4.2], [-4.0 / 15.0]])
+    return UncertainPlant("f16_rollyaw", A0, B, h, sigma)
 
 
 @dataclass(frozen=True)
@@ -197,8 +195,9 @@ class QuadrotorConfig:
 def quadrotor_attitude(cfg: QuadrotorConfig | None = None) -> UncertainPlant:
     """Nine-state attitude model: three decoupled [angle, rate, torque] channels.
 
-    The plant matrix already includes the stabilizing inner gain Kbar, so
-    the outer design uses K = 0. Inertia mismatch enters as
+    The plant matrix already includes the stabilizing inner gain Kbar, which
+    places each channel's spectrum at {-omega, -3, -1}, so the outer design
+    uses K = 0 for any omega > 0. Inertia mismatch enters as
     h(t, u) = G u and sigma(t, x) = (G - I) Kbar^T x with G = J^-1 J0, so
     the assumption constants are l_hu_low = lambda_min(sym G),
     l_hu_high = ||G|| and k_sigma = l_sigma_x = ||(G - I) Kbar^T||, the rest
@@ -210,7 +209,9 @@ def quadrotor_attitude(cfg: QuadrotorConfig | None = None) -> UncertainPlant:
     B0c = np.array([[0.0], [0.0], [om]])
     Abar = np.kron(np.eye(3), A0c)
     B = np.kron(np.eye(3), B0c)
-    Kbar = np.kron(np.eye(3), _quad_channel_gain())
+    # s^3 + omega (1 - k3) s^2 - omega k2 s - omega k1 = (s + omega)(s + 3)(s + 1);
+    # at omega = 15 it rounds to the published [-3.0, -4.2, -0.27]
+    Kbar = np.kron(np.eye(3), np.array([[-3.0], [-(4 * om + 3) / om], [-4 / om]]))
     A0 = Abar + B @ Kbar.T
 
     G = np.linalg.solve(cfg.J_true, cfg.J0)  # J^-1 J0
@@ -228,10 +229,7 @@ def quadrotor_attitude(cfg: QuadrotorConfig | None = None) -> UncertainPlant:
     def sigma(t, x):
         return Gm1_K.dot(x.T).T
 
-    return UncertainPlant(
-        "quadrotor_attitude", 9, 3, A0, B, h, sigma, constants=consts,
-        meta={"omega": om, "Kbar": Kbar, "J0": cfg.J0, "J_true": cfg.J_true},
-    )
+    return UncertainPlant("quadrotor_attitude", A0, B, h, sigma, constants=consts, meta={"Kbar": Kbar})
 
 
 def synthetic_lti(
@@ -265,10 +263,7 @@ def synthetic_lti(
     def sigma(t, x):
         return (S.dot(x.T) + d_amp * np.sin(d_freq * t)).T
 
-    return UncertainPlant(
-        "synthetic_lti", 2, 1, A0, B, h, sigma, constants=consts,
-        meta={"g": g, "S": S, "d_amp": d_amp, "d_freq": d_freq},
-    )
+    return UncertainPlant("synthetic_lti", A0, B, h, sigma, constants=consts)
 
 
 def dead_zone(mu: float):
@@ -290,10 +285,7 @@ def dead_zone(mu: float):
             uz = np.where(np.abs(u) >= mu, u, 0.0)
             return inner(t, uz, x)
 
-        return replace(
-            plant, name=plant.name + "+deadzone", h=h, constants=None,
-            meta={**plant.meta, "dead_zone_mu": mu},
-        )
+        return replace(plant, name=plant.name + "+deadzone", h=h, constants=None)
 
     return wrap
 

@@ -96,6 +96,13 @@ class TestExitCodes:
     def test_ok(self, tmp_path):
         assert run(["design", "--scenario", "siso", "--out", str(tmp_path)]) == EXIT_OK
 
+    def test_quadrotor_designs_at_any_omega(self, tmp_path):
+        # the inner gain follows omega, so -1 stays an eigenvalue of A to select
+        args = ["design", "--scenario", "quadrotor", "--set", "plant.omega=20", "--out", str(tmp_path)]
+        assert run(args) == EXIT_OK
+        d = json.loads((tmp_path / "quadrotor" / "design.json").read_text())
+        np.testing.assert_allclose(sorted(d["eigenvalues"]), [-20.0] * 3 + [-3.0] * 3 + [-1.0] * 3, rtol=1e-12)
+
     def test_config_error(self, tmp_path, capsys):
         code = run(["simulate", "--scenario", "nope", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG

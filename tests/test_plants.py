@@ -142,6 +142,19 @@ class TestQuadrotor:
         want = np.sort([-15.0, -3.0, -1.0] * 3)
         np.testing.assert_allclose(w, want, atol=1e-8)
 
+    def test_inner_gain_is_the_published_one_at_omega_15(self):
+        Kbar = quadrotor_attitude().meta["Kbar"]
+        for i in range(3):
+            assert np.array_equal(Kbar[3 * i:3 * i + 3, i:i + 1], [[-3.0], [-4.2], [-4.0 / 15.0]])
+        assert np.count_nonzero(Kbar) == 9
+
+    @pytest.mark.parametrize("omega", [5.0, 20.0, 100.0])
+    def test_channel_spectrum_follows_omega(self, omega):
+        p = quadrotor_attitude(QuadrotorConfig(omega=omega))
+        for i in range(3):
+            w = np.sort(np.linalg.eigvals(p.A0[3 * i:3 * i + 3, 3 * i:3 * i + 3]))
+            np.testing.assert_allclose(w, [-omega, -3.0, -1.0], rtol=1e-12)
+
     def test_no_mismatch_when_inertia_known(self):
         p = quadrotor_attitude()
         u = np.array([0.1, -0.2, 0.3])
@@ -236,7 +249,7 @@ class TestWrappers:
         np.testing.assert_allclose(p.h(0.0, np.array([0.05]), None), [0.0])
         np.testing.assert_allclose(p.h(0.0, np.array([0.5]), None), [0.5])
         np.testing.assert_allclose(p.h(0.0, np.array([-0.09]), None), [0.0])
-        assert p.meta["dead_zone_mu"] == 0.1
+        np.testing.assert_allclose(p.h(0.0, np.array([0.1]), None), [0.1])
         assert "deadzone" in p.name
 
     def test_dead_zone_width_positive(self):
@@ -344,17 +357,29 @@ class TestBoolParameters:
 
     def test_integer_number_and_numpy_bool_flag_stay_valid(self):
         assert synthetic_lti(g=1).constants.l_hu_low == 1
-        assert f16_rollyaw(f2_typo_fix=np.True_).meta["f2_typo_fix"]
+        # the numpy flag swaps in delta_r like True: f2 differs from the printed form
+        u, x = np.array([0.5, -1.0]), np.array([0.1, 0.2, 0.3, 0.4])
+        flagged = f16_rollyaw(f2_typo_fix=np.True_).h(0.0, u, x)
+        np.testing.assert_array_equal(flagged, f16_rollyaw(f2_typo_fix=True).h(0.0, u, x))
+        assert flagged[1] != f16_rollyaw(f2_typo_fix=False).h(0.0, u, x)[1]
 
 
 class TestPlantInterface:
     def test_uncontrollable_pair_rejected(self):
         with pytest.raises(DesignError, match=r"^plant 'bad': \(A0, B\) is not controllable$"):
             UncertainPlant(
-                "bad", 2, 1,
+                "bad",
                 np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]),
                 lambda t, u, x: u, lambda t, x: np.zeros(1),
             )
+
+    @pytest.mark.parametrize("A0, B", [
+        (np.eye(2), np.array([1.0, 0.0])),  # B must be 2-D
+        (np.eye(3), np.array([[0.0], [1.0]])),  # A0 must be n x n for n = len(B)
+    ])
+    def test_shapes_follow_B(self, A0, B):
+        with pytest.raises(ValueError, match=r"^B must be n x m and A0 n x n$"):
+            UncertainPlant("bad", A0, B, lambda t, u, x: u, lambda t, x: np.zeros(1))
 
     def test_determinism(self):
         p1, p2 = hsu_siso(), hsu_siso()
