@@ -93,6 +93,12 @@ EDGE_CASES = (
      "--set", "sim.record_stride=1000"),
     # a quadrotor omega other than 15: the inner gain Kbar places each channel at {-20, -3, -1}
     ("design", "--scenario", "quadrotor", "--set", "plant.omega=20"),
+    # an omega the Krylov rank test calls uncontrollable: build_core refuses it, not the plant
+    ("design", "--scenario", "quadrotor", "--set", "plant.omega=1e5"),
+    # an omega whose [B, AB, ..., A^8 B] overflows: one line naming the overflow, no numpy warning
+    ("design", "--scenario", "quadrotor", "--set", "plant.omega=1e40"),
+    # an omega whose inner gain Kbar leaves the float range: one line naming omega
+    ("design", "--scenario", "quadrotor", "--set", "plant.omega=1e308"),
 )
 # "<file>:<line>: <Category>: <message>" and the "  <source line>" below it
 WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.MULTILINE)

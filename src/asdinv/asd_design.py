@@ -91,16 +91,15 @@ def build_core(
     """
     A0 = np.asarray(A0, dtype=float)
     B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    n, m = B.shape
-    if A0.shape != (n, n):
+    if B.ndim != 2 or A0.shape != (len(B), len(B)):
         raise DesignError(f"A0 shape {A0.shape} inconsistent with B {B.shape}")
-    if controllability_rank(A0, B) < n:
-        raise DesignError("(A0, B) is not controllable")
+    n, m = B.shape
 
+    # (A0, B) controllable is decided once: here for a gain, in ackermann_gain for poles
     K_arr = np.asarray(K_or_poles, dtype=float)
     if K_arr.ndim == 2 and K_arr.shape == (n, m):
+        if controllability_rank(A0, B) < n:
+            raise DesignError("(A0, B) is not controllable")
         K = K_arr
     elif K_arr.ndim <= 1 and K_arr.size == n:
         if m != 1:

@@ -263,8 +263,7 @@ def cmd_simulate(sc: Scenario, plant, spec, cfg, args) -> int:
         _write_json(out / "summary.json", {
             "scenario": sc.name, "diverged": True, "blowup_time": exc.blowup_time,
         })
-        if exc.trace is not None:
-            sim.export_csv(exc.trace, out / "trace.csv")
+        sim.export_csv(exc.trace, out / "trace.csv")
         print(f"[{sc.name}] DIVERGED at t = {exc.blowup_time:.4f} s", file=sys.stderr)
         return EXIT_DIVERGENCE
     sim.export_csv(trace, out / "trace.csv")

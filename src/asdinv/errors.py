@@ -15,7 +15,7 @@ class DesignError(AsdinvError):
 class NonFiniteState(AsdinvError):
     """Closed-loop divergence. Carries the blow-up time and partial trace."""
 
-    def __init__(self, message, blowup_time=None, trace=None):
+    def __init__(self, message, blowup_time, trace):
         super().__init__(message)
         self.blowup_time = blowup_time
         self.trace = trace

@@ -206,7 +206,10 @@ def controllability_rank(A: np.ndarray, B: np.ndarray) -> int:
         raise DesignError(f"A must be square, got {A.shape}")
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise DesignError(f"B shape {B.shape} incompatible with A {A.shape}")
-    ctrb = _ctrb(A, B)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite entry, refused below
+        ctrb = _ctrb(A, B)
+    if not np.all(np.isfinite(ctrb)):
+        raise DesignError("the controllability matrix [B, AB, ..., A^(n-1) B] overflows the float range")
     # normalize columns before the SVD: A^k B grows like |lambda|^k and the
     # raw matrix can look rank-deficient at n = 9 even for controllable pairs
     norms = np.linalg.norm(ctrb, axis=0)
@@ -226,11 +229,9 @@ def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
     """
     A0 = _require_finite(A0, "A0")
     b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
-    if b.shape[1] != 1:
+    if b.ndim != 2 or b.shape[1] != 1:
         raise DesignError(
-            f"b has {b.shape[1]} columns; supply K explicitly for multi-input plants"
+            f"b must be one n x 1 column, got shape {b.shape}; supply K explicitly for multi-input plants"
         )
     poles = np.asarray(poles, dtype=float)
     n = A0.shape[0]

@@ -137,13 +137,14 @@ class TestBuildCoreFaults:
         core = build_core(A0, np.eye(2), np.zeros((2, 2)), select)
         np.testing.assert_array_equal(core.C, C)
 
-    @pytest.mark.parametrize("A0, K, message", [
-        (-np.eye(3), np.zeros((2, 2)), "A0 shape (3, 3) inconsistent with B (2, 2)"),
-        (-np.eye(2), np.zeros((3, 2)), "K_or_poles must be an 2x2 gain or 2 poles, got shape (3, 2)"),
-    ], ids=["A0", "K"])
-    def test_shape_fault_is_dimension_mismatch(self, A0, K, message):
+    @pytest.mark.parametrize("A0, B, K, message", [
+        (-np.eye(3), np.eye(2), np.zeros((2, 2)), "A0 shape (3, 3) inconsistent with B (2, 2)"),
+        (-np.eye(2), np.eye(2), np.zeros((3, 2)), "K_or_poles must be an 2x2 gain or 2 poles, got shape (3, 2)"),
+        (-np.eye(2), np.ones(2), np.zeros((2, 1)), "A0 shape (2, 2) inconsistent with B (2,)"),  # B is never reshaped
+    ], ids=["A0", "K", "B_1d"])
+    def test_shape_fault_is_dimension_mismatch(self, A0, B, K, message):
         with pytest.raises(DesignError) as exc:
-            build_core(A0, np.eye(2), K, [-1.0, -1.0])
+            build_core(A0, B, K, [-1.0, -1.0])
         assert str(exc.value) == message
 
 

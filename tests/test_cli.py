@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import asdinv
-from asdinv import asd_design, cli, controller_rt, sim
+from asdinv import asd_design, cli, controller_rt, numlin, plants, sim
 from asdinv.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
@@ -102,6 +102,23 @@ class TestExitCodes:
         assert run(args) == EXIT_OK
         d = json.loads((tmp_path / "quadrotor" / "design.json").read_text())
         np.testing.assert_allclose(sorted(d["eigenvalues"]), [-20.0] * 3 + [-3.0] * 3 + [-1.0] * 3, rtol=1e-12)
+
+    @pytest.mark.parametrize("omega, line", [
+        ("1e-320", "config error: bad plant configuration for kind 'quadrotor': "
+                   "omega = 1e-320 puts the inner-loop gain Kbar out of the float range"),
+        # controllable for every omega > 0, but the Krylov rank test loses the pair from omega = 5.6e4
+        ("1e5", "error: (A0, B) is not controllable"),
+        ("1e40", "error: the controllability matrix [B, AB, ..., A^(n-1) B] overflows the float range"),
+        ("4.4e307", "error: the controllability matrix [B, AB, ..., A^(n-1) B] overflows the float range"),
+        ("1e308", "config error: bad plant configuration for kind 'quadrotor': "
+                  "omega = 1e+308 puts the inner-loop gain Kbar out of the float range"),
+    ], ids=["1e-320", "1e5", "1e40", "4.4e307", "1e308"])
+    def test_quadrotor_omega_out_of_range_is_one_line(self, tmp_path, omega, line):
+        # in a fresh interpreter, so a numpy RuntimeWarning would print as the user sees it
+        res, _ = run_fresh(["design", "--scenario", "quadrotor", "--set", f"plant.omega={omega}",
+                            "--out", str(tmp_path)])
+        assert res.returncode == EXIT_CONFIG
+        assert res.stderr.splitlines() == [line]
 
     def test_config_error(self, tmp_path, capsys):
         code = run(["simulate", "--scenario", "nope", "--out", str(tmp_path)])
@@ -257,6 +274,18 @@ class TestExitCodes:
         argv = [command, "--scenario", "siso", "--set", "sim.t_final=0.2", "--out", str(tmp_path)]
         assert run(argv) == EXIT_OK
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("scenario", BUNDLED)
+    def test_controllability_decided_once(self, monkeypatch, scenario):
+        # build_core decides it, for a gain itself and for poles through ackermann_gain;
+        # the plant no longer runs its own test
+        calls = []
+        rank = numlin.controllability_rank
+        for module in (numlin, asd_design):
+            monkeypatch.setattr(module, "controllability_rank", lambda A, B: calls.append(1) or rank(A, B))
+        cli.build(load_scenario(scenario))
+        assert len(calls) == 1
+        assert not hasattr(plants, "controllability_rank") and not hasattr(plants, "DesignError")
 
     def test_verify_builds_each_spec_twice(self, tmp_path, monkeypatch, realization_calls):
         # each of the three runs builds the controller it runs, and each spec closes its

@@ -195,6 +195,15 @@ class TestControllability:
         B = np.kron(np.eye(2), e4)
         assert controllability_rank(A, B) == 8
 
+    def test_overflowing_krylov_matrix_raises(self, recwarn):
+        # A and b are finite, but A^2 b = 1e400 is not: a finite-matrix fault, not an SVD failure
+        A = 1e200 * np.diag(np.ones(2), 1)
+        b = np.array([[0.0], [0.0], [1.0]])
+        with pytest.raises(DesignError) as exc:
+            controllability_rank(A, b)
+        assert str(exc.value) == "the controllability matrix [B, AB, ..., A^(n-1) B] overflows the float range"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestAckermann:
     def test_companion_oracle(self):

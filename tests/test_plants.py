@@ -11,7 +11,6 @@ from asdinv import (
     ControllerSpec,
     QuadrotorConfig,
     SimConfig,
-    DesignError,
     UncertainPlant,
     bound_report,
     build_core,
@@ -365,14 +364,6 @@ class TestBoolParameters:
 
 
 class TestPlantInterface:
-    def test_uncontrollable_pair_rejected(self):
-        with pytest.raises(DesignError, match=r"^plant 'bad': \(A0, B\) is not controllable$"):
-            UncertainPlant(
-                "bad",
-                np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]),
-                lambda t, u, x: u, lambda t, x: np.zeros(1),
-            )
-
     @pytest.mark.parametrize("A0, B", [
         (np.eye(2), np.array([1.0, 0.0])),  # B must be 2-D
         (np.eye(3), np.array([[0.0], [1.0]])),  # A0 must be n x n for n = len(B)
