@@ -1,11 +1,11 @@
 """Dense small-matrix numerical kernel.
 
 Real eigendecomposition (left eigenvectors), Lyapunov solve via the
-Kronecker-sum linear system, controllability rank, single-input
-Ackermann pole placement, and the classical RK4 step that the
-closed-loop simulator takes. Everything here targets the small systems
-(n <= 9) this library works with; correctness is defined by explicit
-residual contracts, not by the algorithm used.
+Kronecker-sum linear system, one controllability staircase for both the
+controllability rank and single-input (Ackermann) pole placement, and
+the RK4 step of the closed-loop simulator. Everything here targets the
+small systems (n <= 9) this library works with; correctness is defined
+by explicit residual contracts, not by the algorithm used.
 
 Every pass/fail tolerance of the library is a named constant below,
 beside the scale it multiplies; the other modules import these names and
@@ -32,7 +32,7 @@ __all__ = [
 
 # Pass/fail tolerances, each multiplying the scale named beside it.
 EIG_RTOL = 1e-8  # |Im lambda| (absolute); A^T v - lambda v residual x max(||A||_2, 1)
-RANK_RTOL = 1e-10  # singular values: x sigma_max, x ||C|| ||B|| for C^T B, x 1 for unit-column C
+RANK_RTOL = 1e-10  # singular values: staircase x ||B||_2 or ||A||_2, x ||C|| ||B|| for C^T B, x 1 for unit-column C
 SYM_RTOL = 1e-12  # asymmetry of a Lyapunov M, x max(||M||_F, 1)
 LYAP_RTOL = 1e-8  # Lyapunov residual, x (||P||_F ||A_cl||_F + ||M||_F)
 POLE_RTOL = 1e-10  # pole-placement backward error, x max(||A_cl||_2, 1)
@@ -190,43 +190,40 @@ def solve_lyapunov(A_cl: np.ndarray, M: np.ndarray) -> np.ndarray:
     return P
 
 
-def _ctrb(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The controllability matrix [B, AB, ..., A^(n-1) B]."""
-    blocks = [B]
-    for _ in range(A.shape[0] - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
+def _staircase(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthogonal Q and the rank r of (A, B), by the controllability staircase.
 
-
-def controllability_rank(A: np.ndarray, B: np.ndarray) -> int:
-    """Numerical rank of [B, AB, ..., A^(n-1) B]."""
+    SVDs of B, then of each block of Q^T A Q that couples the states reached
+    so far into the rest, cut at RANK_RTOL ||B||_2, then at RANK_RTOL ||A||_2;
+    no power of A is formed. Q^T A Q is block upper Hessenberg.
+    """
     A = _require_finite(A, "A")
     B = _require_finite(B, "B")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DesignError(f"A must be square, got {A.shape}")
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise DesignError(f"B shape {B.shape} incompatible with A {A.shape}")
-    with np.errstate(all="ignore"):  # an overflow shows as a non-finite entry, refused below
-        ctrb = _ctrb(A, B)
-    if not np.all(np.isfinite(ctrb)):
-        raise DesignError("the controllability matrix [B, AB, ..., A^(n-1) B] overflows the float range")
-    # normalize columns before the SVD: A^k B grows like |lambda|^k and the
-    # raw matrix can look rank-deficient at n = 9 even for controllable pairs
-    norms = np.linalg.norm(ctrb, axis=0)
-    nz = norms > 0
-    ctrb = ctrb[:, nz] / norms[nz]
-    if ctrb.shape[1] == 0:
-        return 0
-    sv = np.linalg.svd(ctrb, compute_uv=False)
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
+    n = A.shape[0]
+    Q, r, block = np.eye(n), 0, B
+    cut_B, cut_A = RANK_RTOL * np.linalg.norm(B, 2), RANK_RTOL * np.linalg.norm(A, 2)
+    while r < n:
+        U, s, _ = np.linalg.svd(block)
+        step = int(np.sum(s > (cut_A if r else cut_B)))
+        if not step:
+            break
+        Q[:, r:] = Q[:, r:] @ U
+        block = Q[:, r + step:].T @ A @ Q[:, r:r + step]
+        r += step
+    return Q, r
+
+
+def controllability_rank(A: np.ndarray, B: np.ndarray) -> int:
+    """Dimension of the controllable subspace of (A, B), from the staircase."""
+    return _staircase(A, B)[1]
 
 
 def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
-    """Single-input gain K (column) such that A0 + b K^T has the given poles.
-
-    Note the sign convention: the closed loop is A0 + b K^T, so this is
-    the negative of the textbook Ackermann gain for A0 - b k^T.
-    """
+    """Single-input K (column) giving A0 + b K^T the poles: minus the textbook Ackermann gain."""
     A0 = _require_finite(A0, "A0")
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[1] != 1:
@@ -237,23 +234,25 @@ def ackermann_gain(A0: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
     n = A0.shape[0]
     if poles.size != n:
         raise DesignError(f"need {n} poles, got {poles.size}")
-    if controllability_rank(A0, b) < n:
+    Q, rank = _staircase(A0, b)
+    if rank < n:
         raise DesignError("(A0, b) is not controllable")
 
+    # Ackermann's K^T = -e_n^T ctrb^-1 p(A0) in staircase coordinates: A_h = Q^T A0 Q
+    # is upper Hessenberg and Q^T b = beta e1, so [b_h, A_h b_h, ...] is upper triangular
+    # and K^T Q is minus the last row of p(A_h) = prod(A_h - p_i I) over beta prod diag(A_h, -1)
+    A_h = Q.T @ A0 @ Q
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite K, refused below
-        coeffs = np.poly(poles)  # monic desired characteristic polynomial
-        pA = np.zeros_like(A0)
-        for c in coeffs:
-            pA = pA @ A0 + c * np.eye(n)
-        K = -np.linalg.solve(_ctrb(A0, b), pA)[-1].reshape(-1, 1)  # K^T = -e_n^T ctrb^-1 p(A0)
+        row = np.eye(n)[-1]
+        for p in poles:
+            row = row @ A_h - p * row
+        K = -Q @ (row / ((Q.T @ b)[0, 0] * np.prod(np.diag(A_h, -1)))).reshape(-1, 1)
     if not np.all(np.isfinite(K)):
         raise DesignError("pole placement overflows: the gain is not finite")
 
-    # verify by backward error: each target pole must be an exact eigenvalue
-    # of a matrix within POLE_RTOL * ||A_cl|| of A_cl. A forward comparison of
-    # computed eigenvalues is not usable here: a weakly controllable pair
-    # needs a large K, and eig's own error on A_cl then exceeds any fixed
-    # tolerance even though the gain is correct to working precision.
+    # verify by backward error: each pole must be an exact eigenvalue of a matrix within
+    # POLE_RTOL * ||A_cl|| of A_cl. eig's forward error exceeds any fixed tolerance on the
+    # large, yet correct to working precision, K of a weakly controllable pair.
     A_cl = A0 + b @ K.T
     scale = max(np.linalg.norm(A_cl, 2), 1.0)
     sigma_min = np.linalg.svd(A_cl - poles[:, None, None] * np.eye(n), compute_uv=False)[:, -1]

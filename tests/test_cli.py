@@ -103,16 +103,22 @@ class TestExitCodes:
         d = json.loads((tmp_path / "quadrotor" / "design.json").read_text())
         np.testing.assert_allclose(sorted(d["eigenvalues"]), [-20.0] * 3 + [-3.0] * 3 + [-1.0] * 3, rtol=1e-12)
 
+    @pytest.mark.parametrize("omega", ["6e4", "1e5", "1e6", "1e8"])
+    def test_quadrotor_designs_at_large_omega(self, tmp_path, omega):
+        # each channel is a controllable companion form for every omega > 0, and the
+        # staircase keeps the chain coupling above its cut up to omega ~ 1.9e9
+        args = ["design", "--scenario", "quadrotor", "--set", f"plant.omega={omega}", "--out", str(tmp_path)]
+        assert run(args) == EXIT_OK
+
     @pytest.mark.parametrize("omega, line", [
         ("1e-320", "config error: bad plant configuration for kind 'quadrotor': "
                    "omega = 1e-320 puts the inner-loop gain Kbar out of the float range"),
-        # controllable for every omega > 0, but the Krylov rank test loses the pair from omega = 5.6e4
-        ("1e5", "error: (A0, B) is not controllable"),
-        ("1e40", "error: the controllability matrix [B, AB, ..., A^(n-1) B] overflows the float range"),
-        ("4.4e307", "error: the controllability matrix [B, AB, ..., A^(n-1) B] overflows the float range"),
+        # from omega ~ 2e9 the unit chain coupling falls under RANK_RTOL ||A0|| in the staircase
+        ("1e40", "error: (A0, B) is not controllable"),
+        ("4.4e307", "error: (A0, B) is not controllable"),
         ("1e308", "config error: bad plant configuration for kind 'quadrotor': "
                   "omega = 1e+308 puts the inner-loop gain Kbar out of the float range"),
-    ], ids=["1e-320", "1e5", "1e40", "4.4e307", "1e308"])
+    ], ids=["1e-320", "1e40", "4.4e307", "1e308"])
     def test_quadrotor_omega_out_of_range_is_one_line(self, tmp_path, omega, line):
         # in a fresh interpreter, so a numpy RuntimeWarning would print as the user sees it
         res, _ = run_fresh(["design", "--scenario", "quadrotor", "--set", f"plant.omega={omega}",
@@ -277,12 +283,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("scenario", BUNDLED)
     def test_controllability_decided_once(self, monkeypatch, scenario):
-        # build_core decides it, for a gain itself and for poles through ackermann_gain;
-        # the plant no longer runs its own test
+        # build_core decides it, for a gain through controllability_rank and for poles
+        # through ackermann_gain, each by one staircase; the plant runs no test of its own
         calls = []
-        rank = numlin.controllability_rank
-        for module in (numlin, asd_design):
-            monkeypatch.setattr(module, "controllability_rank", lambda A, B: calls.append(1) or rank(A, B))
+        staircase = numlin._staircase
+        monkeypatch.setattr(numlin, "_staircase", lambda A, B: calls.append(1) or staircase(A, B))
         cli.build(load_scenario(scenario))
         assert len(calls) == 1
         assert not hasattr(plants, "controllability_rank") and not hasattr(plants, "DesignError")

@@ -1,10 +1,14 @@
-"""Smoke tests of the scripts under scripts/, each run as a subprocess."""
+"""Smoke tests of the scripts under scripts/, each run as a subprocess, and
+compare_outputs.py's gate on its intended diffs, imported."""
 
+import importlib.util
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,3 +43,25 @@ def test_epsilon_sweep_reports_a_bad_horizon():
         "epsilon_sweep.py: error: bad 'sim' section: t_final = 0.0505 is not a whole number of "
         "dt = 0.001 steps (t_final/dt = 50.5)")
     assert "Traceback" not in proc.stderr
+
+
+def load_compare_outputs():
+    spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "scripts" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DIFFER = {"a: stderr", "b: exit code"}
+
+
+@pytest.mark.parametrize("differ, intended, lines", [
+    (set(), set(), []),
+    (DIFFER, set(), ["differs, not intended: a: stderr", "differs, not intended: b: exit code"]),
+    (DIFFER, set(DIFFER), []),
+    (DIFFER, DIFFER | {"c: stdout"}, ["intended, does not differ: c: stdout"]),
+    (DIFFER, {"a: stderr"}, ["differs, not intended: b: exit code"]),
+], ids=["none", "empty", "exact", "too_large", "too_small"])
+def test_compare_outputs_passes_only_the_intended_set(differ, intended, lines):
+    # main() exits 0 exactly when this list is empty
+    assert load_compare_outputs().mismatches(differ, intended) == lines
