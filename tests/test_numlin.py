@@ -223,17 +223,24 @@ class TestAckermann:
         got = np.sort(np.linalg.eigvals(A0 + b @ K.T).real)
         np.testing.assert_allclose(got, np.sort(poles), atol=1e-7)
 
-    @pytest.mark.parametrize("om", [15.0, 6e4, 1e6, 1e8])
-    def test_quadrotor_channel_gain(self, om):
-        # third-order actuator channel at bandwidth om; the exact gain for poles
-        # {-om, -3, -1} is the closed form the quadrotor plant uses, and at om = 15
-        # it rounds to the published [-3, -4.2, -0.27]
+    def test_quadrotor_channel_gain(self):
+        # third-order actuator channel at bandwidth 15; exact gain for
+        # poles {-15,-3,-1} rounds to the published [-3, -4.2, -0.27]
+        om = 15.0
+        A0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -om]])
+        b = np.array([[0.0], [0.0], [om]])
+        K = ackermann_gain(A0, b, [-15.0, -3.0, -1.0])
+        np.testing.assert_allclose(K.ravel(), [-3.0, -4.2, -4.0 / 15.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(K.ravel(), [-3.0, -4.2, -0.27], atol=1e-2)
+
+    @pytest.mark.parametrize("om", [6e4, 1e6, 1e8])
+    def test_quadrotor_channel_gain_at_large_omega(self, om):
+        # the same channel at bandwidth om; the exact gain for poles {-om, -3, -1}
+        # is the closed form the quadrotor plant uses
         A0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -om]])
         b = np.array([[0.0], [0.0], [om]])
         K = ackermann_gain(A0, b, [-om, -3.0, -1.0])
         np.testing.assert_allclose(K.ravel(), [-3.0, -(4 * om + 3) / om, -4 / om], rtol=0, atol=1e-12)
-        if om == 15.0:
-            np.testing.assert_allclose(K.ravel(), [-3.0, -4.2, -0.27], atol=1e-2)
 
     def test_weakly_controllable_high_gain(self):
         # ctrb has a 4e-3 singular value, so |K| ~ 4e4 and eig's forward
