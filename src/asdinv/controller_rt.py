@@ -17,8 +17,8 @@ One class, StateSpaceController, runs either quadruple: the simulator
 calls its `unsat_output(s, x)` (H s + D x) and `derivative(s, x, u)`
 (F s + Gx x + Gu u). The same class holds the closed quadruple
 (F + Gu H, Gx + Gu D, 0, H, D), whose `response(s)` is the frequency
-response. A ControllerSpec keeps the PI gains K_p, K_i that it checks for
-overflow, and closes its quadruple once, on first use.
+response. A ControllerSpec keeps its checked PI gains K_p, K_i, closes its
+quadruple once, on first use, and closes that around a plant in loop_matrix.
 """
 
 from __future__ import annotations
@@ -75,6 +75,13 @@ class ControllerSpec:
         around s' = F s + Gx x + Gu u, i.e. D + H (sI - F - Gu H)^-1 (Gx + Gu D)."""
         F, Gx, Gu, H, D = _REALIZATIONS[self.realization_kind](self)
         return StateSpaceController(F + Gu @ H, Gx + Gu @ D, np.zeros_like(Gu), H, D)
+
+    def loop_matrix(self, A0: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """The unsaturated loop of x' = A0 x + B u under this controller, on [x; s] (inf or NaN past
+        the float range). For the loop at a plant slope (h_u, sigma_x), pass A0 + B sigma_x and B h_u."""
+        cl = self.closed_realization
+        with np.errstate(all="ignore"):
+            return np.block([[A0 + B @ cl.D, B @ cl.H], [cl.Gx, cl.F]])
 
 
 class StateSpaceController:

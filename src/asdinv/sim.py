@@ -138,9 +138,7 @@ def simulate(
                           f"{_MAX_RECORD_BYTES}-byte budget; raise record_stride or shorten t_final")
 
     A0, B = plant.A0, plant.B
-    cl = controller.closed_realization  # the nominal loop at the origin: h = u, sigma = 0
-    with np.errstate(all="ignore"):  # gains near the float limit can overflow it; rho is then inf
-        loop = np.block([[A0 + B @ cl.D, B @ cl.H], [cl.Gx, cl.F]])
+    loop = controller.loop_matrix(A0, B)  # the nominal loop at the origin: h = u, sigma = 0
     rho = np.abs(np.linalg.eigvals(loop)).max() if np.isfinite(loop).all() else np.inf
     if dt * rho >= STIFF_DT_RHO:
         warnings.warn(f"dt*rho(nominal loop) = {dt * rho:.2f} >= {STIFF_DT_RHO}; RK4 may be unstable",

@@ -118,7 +118,9 @@ class TestExitCodes:
         ("4.4e307", "error: (A0, B) is not controllable"),
         ("1e308", "config error: bad plant configuration for kind 'quadrotor': "
                   "omega = 1e+308 puts the inner-loop gain Kbar out of the float range"),
-    ], ids=["1e-320", "1e40", "4.4e307", "1e308"])
+        *[(omega, "config error: bad plant configuration for kind 'quadrotor': actuator bandwidth must be positive")
+          for omega in ("0", "-1")],
+    ], ids=["1e-320", "1e40", "4.4e307", "1e308", "0", "-1"])
     def test_quadrotor_omega_out_of_range_is_one_line(self, tmp_path, omega, line):
         # in a fresh interpreter, so a numpy RuntimeWarning would print as the user sees it
         res, _ = run_fresh(["design", "--scenario", "quadrotor", "--set", f"plant.omega={omega}",
@@ -435,6 +437,8 @@ class TestExitCodes:
         ("design", None, ["sim.dt=-1"], EXIT_CONFIG, "config error:"),
         ("bound", None, ["saturation.min=10"], EXIT_CONFIG, "config error:"),
         ("design", lambda raw: raw["plant"].update(J_scale=1.3), [], EXIT_CONFIG, "config error:"),
+        ("design", lambda raw: raw.pop("sim"), [], EXIT_CONFIG,
+         "config error: scenario '<path>' is missing the 'sim' field\n"),
         ("design", lambda raw: raw["sim"].update(recordstride=10), [], EXIT_CONFIG, "config error:"),
         ("design", lambda raw: raw["design"].update(Poles=[-1.0, -2.0, -3.0]), [], EXIT_CONFIG,
          "config error:"),
@@ -464,7 +468,7 @@ class TestExitCodes:
     ], ids=["verify_diverges", "design_fault", "unknown_kind", "no_select", "no_gain",
             "bad_constants", "not_json", "unknown_field", "path_through_number",
             "mistyped_leaf", "design_checks_sim", "bound_fault_before_constants",
-            "unknown_plant_field", "unknown_sim_field", "unknown_design_field",
+            "unknown_plant_field", "no_sim", "unknown_sim_field", "unknown_design_field",
             "unknown_saturation_field", "unknown_top_level_field", "both_K_and_poles",
             "constants_false", "constants_zero", "constants_empty_string", "constants_list",
             "constants_null", "deadzone_bound", "delay_bound", "not_hurwitz", "pole_overflow",
@@ -472,7 +476,8 @@ class TestExitCodes:
             "selection_count", "singular_ctb"])
     def test_exit_path(self, tmp_path, capsys, command, edit, overrides, code, prefix):
         # edit is None for the bundled siso, a str for a file's text, or a
-        # function that changes siso's raw scenario before it is written
+        # function that changes siso's raw scenario before it is written;
+        # <path> in prefix stands for the scenario file's path
         scenario = "siso"
         if edit is not None:
             if isinstance(edit, str):
@@ -488,7 +493,7 @@ class TestExitCodes:
             argv += ["--set", ov]
         with warns_stiff_runs() if code == EXIT_DIVERGENCE else contextlib.nullcontext():
             assert run(argv) == code
-        assert capsys.readouterr().err.startswith(prefix)
+        assert capsys.readouterr().err.startswith(prefix.replace("<path>", str(scenario)))
         assert list(tmp_path.glob("out/*/*.json")) == []  # no verify.json on divergence
 
     def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):

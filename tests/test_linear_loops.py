@@ -9,8 +9,10 @@ linear in the plant state x and the controller state s:
 with (F, Gx, H, D) the controller's closed realization. d(t) does not
 change stability, so the block's spectral abscissa (the largest real part
 of its eigenvalues) is the exact rate at which x decays or grows. G and S
-come from each scenario's plant section, and the block is written here,
-apart from simulate's stiffness guard, so the two check each other.
+come from each scenario's plant section. The block is spec.loop_matrix at
+the plant slope (G, S), loop_matrix(A0 + B S, B G): the method simulate's
+stiffness guard calls at the slope (I, 0). The block is written out by hand
+once below, as the oracle that method is checked against.
 
 With delay_demo's input delay tau the loop is no longer a matrix, but its
 stability still follows from the return ratio T(jw) of the loop cut at
@@ -45,14 +47,23 @@ def input_gain_and_state_map(section, plant):
 
 def abscissa(plant, spec, G, S):
     """Largest real part of the eigenvalues of the unsaturated loop, delay dropped."""
-    cl = spec.closed_realization
-    A0, B = plant.A0, plant.B
-    loop = np.block([[A0 + B @ (S + G @ cl.D), B @ G @ cl.H], [cl.Gx, cl.F]])
-    return np.linalg.eigvals(loop).real.max()
+    return np.linalg.eigvals(spec.loop_matrix(plant.A0 + plant.B @ S, plant.B @ G)).real.max()
 
 
 # spectral abscissa at the shipped epsilon, the same for both realizations
 SHIPPED = {"synthetic": -0.4989, "quadrotor": -1.0, "quadrotor_payload": -0.9669, "delay_demo": -0.4630}
+
+
+@pytest.mark.parametrize("kind", ["pi_closed", "observer"])
+@pytest.mark.parametrize("name", list(SHIPPED))
+def test_loop_matrix_matches_the_block(name, kind):
+    # the loop at the plant slope (G, S), written out from the closed quadruple
+    plant, spec, _, (G, S) = case(name, f"realization={kind}")
+    cl = spec.closed_realization
+    A0, B = plant.A0, plant.B
+    block = np.block([[A0 + B @ (S + G @ cl.D), B @ G @ cl.H], [cl.Gx, cl.F]])
+    loop = spec.loop_matrix(A0 + B @ S, B @ G)
+    np.testing.assert_allclose(loop, block, rtol=0, atol=1e-15 * np.abs(block).max())
 
 
 @pytest.mark.parametrize("kind", ["pi_closed", "observer"])

@@ -155,6 +155,15 @@ class TestLyapunov:
         with pytest.raises(DesignError, match=r"^M is not symmetric$"):
             solve_lyapunov(-np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("A_cl, M, message", [
+        (-np.ones((2, 3)), np.eye(2), "A_cl must be square, got (2, 3)"),
+        (-np.eye(2), np.eye(3), "M shape (3, 3) != A_cl shape (2, 2)"),
+    ], ids=["A_cl_not_square", "M_shape"])
+    def test_shape_refused(self, A_cl, M, message):
+        with pytest.raises(DesignError) as exc:
+            solve_lyapunov(A_cl, M)
+        assert str(exc.value) == message
+
 
 class TestControllability:
     def test_chain_is_controllable(self):
@@ -281,14 +290,18 @@ class TestAckermann:
         with pytest.raises(DesignError, match=r"^\(A0, b\) is not controllable$"):
             ackermann_gain(A, b, [-3.0, -4.0])
 
-    @pytest.mark.parametrize("A0, b, message", [
-        (np.ones((2, 3)), np.ones((2, 1)), "A must be square, got (2, 3)"),
-        (np.eye(3), np.ones((2, 1)), "B shape (2, 1) incompatible with A (3, 3)"),
-    ], ids=["A0_not_square", "b_rows"])
-    def test_shape_refused(self, A0, b, message):
-        # the same checks as controllability_rank's, before any matrix product
+    @pytest.mark.parametrize("A0, b, poles, message", [
+        (np.ones((2, 3)), np.ones((2, 1)), [-1.0, -2.0], "A must be square, got (2, 3)"),
+        (np.eye(3), np.ones((2, 1)), [-1.0, -2.0, -3.0], "B shape (2, 1) incompatible with A (3, 3)"),
+        (np.eye(2), np.ones((2, 2)), [-1.0, -2.0],
+         "b must be one n x 1 column, got shape (2, 2); supply K explicitly for multi-input plants"),
+        (np.eye(2), np.ones((2, 1)), [-1.0, -2.0, -3.0], "need 2 poles, got 3"),
+        (np.array([[0.0, 1.0], [np.nan, 0.0]]), np.ones((2, 1)), [-1.0, -2.0], "A0 contains non-finite entries"),
+    ], ids=["A0_not_square", "b_rows", "b_not_a_column", "pole_count", "A0_not_finite"])
+    def test_shape_refused(self, A0, b, poles, message):
+        # ackermann_gain's own checks, then those it shares with controllability_rank, before any matrix product
         with pytest.raises(DesignError) as exc:
-            ackermann_gain(A0, b, -np.arange(1.0, len(A0) + 1))
+            ackermann_gain(A0, b, poles)
         assert str(exc.value) == message
 
 
