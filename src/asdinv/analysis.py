@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -31,15 +31,15 @@ __all__ = [
 class BoundReport:
     """Theorem 2 for one design and one set of assumption constants.
 
-    The fields are the three closed-loop gammas and the extreme eigenvalues
-    of P; every other quantity is derived from them. The ultimate bounds and
-    the certificate's ball need the filter constant `epsilon` and are None
-    where eta(epsilon) is not positive. Terms that leave the float range are
-    refused with a ValueError that names them.
+    The fields are gamma1, gamma2 and the extreme eigenvalues of P; every
+    other quantity is derived from them and the constant gamma0. The
+    ultimate bounds and the certificate's ball need the filter constant
+    `epsilon` and are None where eta(epsilon) is not positive. Terms that
+    leave the float range are refused with a ValueError that names them.
     """
 
+    gamma0: ClassVar[float] = 1.0  # lambda_min(M) with M = I
     consts: AssumptionConstants
-    gamma0: float
     gamma1: float
     gamma2: float
     p_min: float
@@ -52,7 +52,7 @@ class BoundReport:
                 raise ValueError(f"{name} = {getattr(self, name)!r} is not finite")
         try:
             term = self._filter_term
-        except OverflowError:  # from the square; a NaN gamma0 still gives eta = NaN
+        except OverflowError:  # from the square
             term = math.inf
         if math.isinf(term):
             raise ValueError("the filter term (2/gamma0)(gamma2 + l_sigma_t)^2 overflows")
@@ -160,11 +160,10 @@ def bound_report(
     epsilon must be positive. The Lyapunov weight is M = I (build_core solves
     P A + A^T P = -I)."""
     nA, nB, nK, nP = (float(np.linalg.norm(X, 2)) for X in (core.A, core.B, core.K, core.P))
-    g0 = 1.0  # lambda_min(M) with M = I
     g1 = 2.0 * (nK + consts.l_sigma_x) * nB + 2.0 * consts.l_ht / consts.l_hu_low
     g2 = nP * nB + nA * (nK + consts.l_sigma_x) + nK + consts.k_sigma
     pw = np.linalg.eigvalsh(core.P)
-    return BoundReport(consts, g0, g1, g2, float(pw[0]), float(pw[-1]), epsilon)
+    return BoundReport(consts, g1, g2, float(pw[0]), float(pw[-1]), epsilon)
 
 
 @dataclass(frozen=True)

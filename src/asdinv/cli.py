@@ -170,7 +170,7 @@ def build_controller_spec(sc: Scenario, core) -> ControllerSpec:
     _known_fields("field 'saturation'", sat, ("min", "max"))
     try:
         return ControllerSpec(core=core, epsilon=sc.raw["epsilon"], u_min=sat["min"], u_max=sat["max"],
-                              realization_kind=sc.raw.get("realization", "pi_closed"))
+                              realization_kind=sc.raw.get("realization", ControllerSpec.realization_kind))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'epsilon', 'saturation' or 'realization' field: {exc!r}") from exc
 
@@ -236,7 +236,7 @@ def cmd_design(sc: Scenario, plant, spec, cfg, args) -> int:
         "scenario": sc.name,
         "K": core.K,
         "C": core.C,
-        "Lambda": np.diag(core.Lam),
+        "Lambda": core.lam_diag,
         "CtB": core.CtB,
         "pi_gains": {"Kp": spec.Kp, "Ki": spec.Ki},
         "theorem1": {
@@ -249,7 +249,7 @@ def cmd_design(sc: Scenario, plant, spec, cfg, args) -> int:
     _write_json(_out_dir(args, sc) / "design.json", summary)
     print(f"[{sc.name}] K =\n{core.K}")
     print(f"[{sc.name}] C =\n{core.C}")
-    print(f"[{sc.name}] Lambda = {np.diag(core.Lam)}")
+    print(f"[{sc.name}] Lambda = {core.lam_diag}")
     print(f"[{sc.name}] theorem1 residual = {report.theorem1_residual:.3e}, "
           f"|det CtB| = {abs(report.det_ctb):.3e}")
     return EXIT_OK
@@ -309,29 +309,30 @@ def cmd_verify(sc: Scenario, plant, spec, cfg, args) -> int:
                 warnings.warn_explicit(f"{label} run: {w.message}", w.category, w.filename, w.lineno)
     trace, tr_pi, tr_ob = traces
 
-    if plant.input_delay == 0:
-        resid = np.max(np.linalg.norm(trace.y_p + trace.y_s - trace.y, axis=1))
-        scale = max(np.max(np.linalg.norm(trace.y, axis=1)), 1e-30)
-        detail["asd_identity_relative"] = float(resid / scale)
-        checks["asd_identity"] = resid <= TRAJ_RTOL * scale
+    def relative(check, key, err, scale, rtol):
+        """detail[key] = err / scale and checks[check] = err <= rtol * scale, scale floored at 1e-30."""
+        scale = max(scale, 1e-30)
+        detail[key] = float(err / scale)
+        checks[check] = err <= rtol * scale
 
-    du = np.max(np.abs(tr_pi.u - tr_ob.u))
-    uscale = max(np.max(np.abs(tr_pi.u)), 1e-30)
-    detail["realization_equivalence_relative"] = float(du / uscale)
-    checks["realization_equivalence"] = du <= TRAJ_RTOL * uscale
+    if plant.input_delay == 0:
+        relative("asd_identity", "asd_identity_relative",
+                 np.max(np.linalg.norm(trace.y_p + trace.y_s - trace.y, axis=1)),
+                 np.max(np.linalg.norm(trace.y, axis=1)), TRAJ_RTOL)
+    relative("realization_equivalence", "realization_equivalence_relative",
+             np.max(np.abs(tr_pi.u - tr_ob.u)), np.max(np.abs(tr_pi.u)), TRAJ_RTOL)
 
     # the responses agree to round-off amplified by cond(jwI - F_cl) of the
     # closed realizations, which grows as epsilon and omega shrink; each spec
     # builds its closed realization once, for its response and for this bound
     omegas = np.logspace(-2, 2, 20)
     H_pi, H_ob = (x_to_u_response(s, omegas) for s in (wide, wide_obs))
-    dH = np.max(np.abs(H_pi - H_ob))
-    hscale = max(np.max(np.abs(H_pi)), 1e-30)
     cond = max(np.linalg.cond(1j * omegas[:, None, None] * np.eye(len(F)) - F).max()
                for F in (wide.closed_realization.F, wide_obs.closed_realization.F))
-    detail["frequency_response_relative"] = float(dH / hscale)
-    detail["frequency_response_tolerance"] = FREQ_ULPS * np.finfo(float).eps * cond
-    checks["frequency_response_match"] = dH <= detail["frequency_response_tolerance"] * hscale
+    tol = FREQ_ULPS * np.finfo(float).eps * cond
+    relative("frequency_response_match", "frequency_response_relative",
+             np.max(np.abs(H_pi - H_ob)), np.max(np.abs(H_pi)), tol)
+    detail["frequency_response_tolerance"] = tol
 
     ok = all(checks.values())
     _write_json(out / "verify.json", {"scenario": sc.name, "checks": checks, "detail": detail, "pass": ok})

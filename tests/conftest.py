@@ -3,18 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from asdinv import (
-    ControllerSpec,
-    SimConfig,
-    build_core,
-    hsu_siso,
-    f16_rollyaw,
-    quadrotor_attitude,
-    synthetic_lti,
-    simulate,
-)
+from asdinv import ControllerSpec, cli, simulate
 from asdinv import controller_rt
 
+# the published F-16 gain and output matrix, the oracles for f16.json's design
 F16_K = np.array([
     [-27.5037, 93.4020],
     [14.2953, 35.0244],
@@ -30,44 +22,50 @@ F16_C = np.array([
 ])
 
 
+def shipped(name, *overrides):
+    """(plant, spec, cfg) of a bundled scenario as the CLI builds it, after
+    --set style overrides; the design is spec.core."""
+    return cli.build(cli.load_scenario(name, overrides))
+
+
 @pytest.fixture(scope="session")
 def siso_plant():
-    return hsu_siso()
+    return shipped("siso")[0]
 
 
 @pytest.fixture(scope="session")
-def siso_core(siso_plant):
-    return build_core(siso_plant.A0, siso_plant.B, [-1.0, -2.0, -3.0], [-1.0])
+def siso_core():
+    return shipped("siso")[1].core
 
 
 @pytest.fixture(scope="session")
 def f16_plant():
-    return f16_rollyaw()
+    return shipped("f16")[0]
 
 
 @pytest.fixture(scope="session")
-def f16_core(f16_plant):
-    return build_core(f16_plant.A0, f16_plant.B, F16_K, [-1.0, -2.0])
+def f16_core():
+    return shipped("f16")[1].core
 
 
 @pytest.fixture(scope="session")
 def quad_plant():
-    return quadrotor_attitude()
+    return shipped("quadrotor")[0]
 
 
 @pytest.fixture(scope="session")
-def quad_core(quad_plant):
-    return build_core(quad_plant.A0, quad_plant.B, np.zeros((9, 3)), [-1.0, -1.0, -1.0])
+def quad_core():
+    return shipped("quadrotor")[1].core
 
 
 @pytest.fixture(scope="session")
 def synthetic_plant():
-    return synthetic_lti(g=1.0, S=np.array([[0.05, 0.05]]), d_amp=0.1, d_freq=1.0)
+    return shipped("synthetic")[0]
 
 
 @pytest.fixture(scope="session")
-def synthetic_core(synthetic_plant):
-    return build_core(synthetic_plant.A0, synthetic_plant.B, [-0.5, -1.0], [-1.0])
+def synthetic_core():
+    return shipped("synthetic")[1].core
 
 
 @pytest.fixture
@@ -80,26 +78,18 @@ def realization_calls(monkeypatch):
     return calls
 
 
-def spec_for(core, epsilon, lo, hi, kind="pi_closed"):
-    return ControllerSpec(
-        core=core, epsilon=epsilon,
-        u_min=lo * np.ones(core.m), u_max=hi * np.ones(core.m),
-        realization_kind=kind,
-    )
+def spec_for(core, epsilon, lo, hi, kind=ControllerSpec.realization_kind):
+    return ControllerSpec(core=core, epsilon=epsilon, u_min=lo, u_max=hi, realization_kind=kind)
 
 
 @pytest.fixture(scope="session")
-def siso_trace(siso_plant, siso_core):
-    spec = spec_for(siso_core, 0.1, -5.0, 5.0)
-    cfg = SimConfig(dt=1e-3, t_final=20.0, x0=np.array([1.0, 1.0, 1.0]), record_stride=10)
-    return simulate(siso_plant, spec, cfg, with_decomposition=True)
+def siso_trace():
+    return simulate(*shipped("siso"), with_decomposition=True)
 
 
 @pytest.fixture(scope="session")
-def synthetic_trace(synthetic_plant, synthetic_core):
-    spec = spec_for(synthetic_core, 0.005, -1000.0, 1000.0)
-    cfg = SimConfig(dt=1e-3, t_final=20.0, x0=np.array([1.0, 0.0]), record_stride=10)
-    return simulate(synthetic_plant, spec, cfg, with_decomposition=True)
+def synthetic_trace():
+    return simulate(*shipped("synthetic"), with_decomposition=True)
 
 
 def sample_constants(plant, u_scale=1.0, x_scale=1.0, grid=5):

@@ -1,6 +1,7 @@
 """Stability-margin analysis: the closed-loop constants, the admissible
 filter range, the decay rate, ultimate bounds, and the trace certificate."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from asdinv import (
 )
 from asdinv import cli
 
-from conftest import OUT_OF_RANGE, OUT_OF_RANGE_IDS, spec_for
+from conftest import OUT_OF_RANGE, OUT_OF_RANGE_IDS, shipped, spec_for
 
 
 class TestGammas:
@@ -43,18 +44,19 @@ class TestGammas:
     def test_gamma0_is_one_for_identity_m(self, siso_core):
         rep = bound_report(siso_core, AssumptionConstants())
         assert rep.gamma0 == 1.0
+        assert "gamma0" not in {f.name for f in dataclasses.fields(BoundReport)}  # a constant, not an input
 
 
 class TestEpsilonBound:
     def test_arithmetic_example(self):
-        # g0=2, g1=1, g2=1, l_sigma_t=0, l_hu_low=1:
-        # eps_max = 1 / (1 + (2/2)*1) = 0.5
-        c = AssumptionConstants(l_hu_low=1.0, l_hu_high=1.0, l_sigma_t=0.0)
-        assert BoundReport(c, 2.0, 1.0, 1.0, 1.0, 1.0).eps_max == pytest.approx(0.5, abs=1e-15)
+        # g0=1, g1=2, g2=1, l_sigma_t=0, l_hu_low=2:
+        # eps_max = 2 / (2 + (2/1)*1) = 0.5
+        c = AssumptionConstants(l_hu_low=2.0, l_hu_high=2.0, l_sigma_t=0.0)
+        assert BoundReport(c, 2.0, 1.0, 1.0, 1.0).eps_max == pytest.approx(0.5, abs=1e-15)
 
     def test_infinite_when_denominator_vanishes(self):
         c = AssumptionConstants(l_hu_low=1.0, l_hu_high=1.0)
-        assert math.isinf(BoundReport(c, 2.0, 0.0, 0.0, 1.0, 1.0).eps_max)
+        assert math.isinf(BoundReport(c, 0.0, 0.0, 1.0, 1.0).eps_max)
 
     def test_positive_sign_iff_admissible(self, synthetic_core, synthetic_plant):
         # eta > 0 exactly when epsilon < eps_max, checked on a log grid
@@ -105,13 +107,13 @@ class TestEta:
 
 class TestUltimateBound:
     def test_closed_form(self):
-        # gamma0 = 18 and P = diag(4, 9) cap eta at 18 / (2 * 9) = 1; with
+        # P = diag(0.25, 0.5) caps eta at gamma0 / (2 * 0.5) = 1; with
         # epsilon = 0.04, l_hu_low = 1 and drive = 0*delta + d_sigma = 3:
-        # appendix = sqrt(0.04/4)*3 = 0.3, statement = 0.6
+        # appendix = sqrt(0.04/0.25)*3 = 1.2, statement = 0.6
         c = AssumptionConstants(l_hu_low=1.0, l_hu_high=1.0, d_sigma=3.0)
-        rep = BoundReport(c, 18.0, 0.0, 0.0, 4.0, 9.0, 0.04)
+        rep = BoundReport(c, 0.0, 0.0, 0.25, 0.5, 0.04)
         assert rep.eta(0.04) == 1.0
-        assert rep.ultimate_appendix == pytest.approx(0.3, abs=1e-14)
+        assert rep.ultimate_appendix == pytest.approx(1.2, abs=1e-14)
         assert rep.ultimate_statement == pytest.approx(0.6, abs=1e-14)
         assert rep.ball_radius == pytest.approx(0.36, abs=1e-14)
 
@@ -119,7 +121,7 @@ class TestUltimateBound:
         # eta = 0.5 from the cap gamma0 / (2 p_max)
         c1 = AssumptionConstants(l_hu_low=1.0, l_hu_high=1.0, d_sigma=1.0)
         c2 = AssumptionConstants(l_hu_low=1.0, l_hu_high=1.0, d_sigma=2.0)
-        r1, r2 = (BoundReport(c, 1.0, 0.0, 0.0, 1.0, 1.0, 0.1) for c in (c1, c2))
+        r1, r2 = (BoundReport(c, 0.0, 0.0, 1.0, 1.0, 0.1) for c in (c1, c2))
         assert r2.ultimate_appendix == pytest.approx(2 * r1.ultimate_appendix, rel=1e-12)
         assert r2.ultimate_statement == pytest.approx(2 * r1.ultimate_statement, rel=1e-12)
 
@@ -127,7 +129,7 @@ class TestUltimateBound:
         # eta = min(1 / 2, 1 / 0.5 - 2) = 0 at epsilon = eps_max, and eta < 0 past eps_max
         c = AssumptionConstants(d_sigma=1.0)
         rep = bound_report(synthetic_core, synthetic_plant.constants)
-        for r in (BoundReport(c, 1.0, 2.0, 0.0, 1.0, 1.0, 0.5),
+        for r in (BoundReport(c, 2.0, 0.0, 1.0, 1.0, 0.5),
                   bound_report(synthetic_core, synthetic_plant.constants, epsilon=2 * rep.eps_max)):
             assert not r.eta(r.epsilon) > 0
             assert r.ultimate_appendix is None
@@ -135,8 +137,8 @@ class TestUltimateBound:
             assert r.ball_radius is None
 
     def test_nan_eta_rejected(self):
-        # a NaN gamma0 makes eta NaN, which is not positive
-        r = BoundReport(AssumptionConstants(d_sigma=1.0), math.nan, 0.0, 0.0, 1.0, 1.0, 0.1)
+        # a NaN p_max makes eta NaN, which is not positive
+        r = BoundReport(AssumptionConstants(d_sigma=1.0), 0.0, 0.0, 1.0, math.nan, 0.1)
         assert math.isnan(r.eta(0.1))
         assert r.ultimate_appendix is None and r.ultimate_statement is None and r.ball_radius is None
 
@@ -181,23 +183,23 @@ class TestFloatRange:
             bound_report(cli.build_core(sc, plant), plant.constants)
 
     @pytest.mark.parametrize("gammas, message", [
-        ((1.0, math.inf, 1.0), r"^gamma1 = inf is not finite$"),
-        ((1.0, 1.0, math.nan), r"^gamma2 = nan is not finite$"),
-        ((1.0, 1.0, 1e200), r"^the filter term .* overflows$"),  # the square overflows
-        ((1e-300, 1.0, 1e10), r"^the filter term .* overflows$"),  # 2/gamma0 times it does
+        ((math.inf, 1.0), r"^gamma1 = inf is not finite$"),
+        ((1.0, math.nan), r"^gamma2 = nan is not finite$"),
+        ((1.0, 1e200), r"^the filter term .* overflows$"),  # the square overflows
+        ((1.0, 1e154), r"^the filter term .* overflows$"),  # 2/gamma0 times it does
     ], ids=["gamma1", "gamma2", "square", "product"])
     def test_non_finite_term_rejected(self, gammas, message):
         with pytest.raises(ValueError, match=message):
             BoundReport(AssumptionConstants(), *gammas, p_min=1.0, p_max=1.0)
 
     def test_large_finite_terms_kept(self):
-        rep = BoundReport(AssumptionConstants(), 1.0, 1.0, 1e150, p_min=1.0, p_max=1.0)
+        rep = BoundReport(AssumptionConstants(), 1.0, 1e150, p_min=1.0, p_max=1.0)
         assert rep.eps_max > 0 and np.all(rep.eps_grid > 0)
 
     def test_eta_where_one_over_epsilon_overflows(self):
         # eps_max = 1e-306 puts the grid's first epsilon at 1e-309, where l_hu_low / epsilon
         # is inf; the rate there is the gamma0 / (2 p_max) cap, and no warning is raised
-        rep = BoundReport(AssumptionConstants(), 1.0, 1e306, 1.0, p_min=1.0, p_max=1.0)
+        rep = BoundReport(AssumptionConstants(), 1e306, 1.0, p_min=1.0, p_max=1.0)
         assert rep.eps_grid[0] < 1.0 / np.finfo(float).max
         assert rep.eta_grid[0] == 0.5
 
@@ -268,7 +270,7 @@ class TestArrayConsumersMatchLoops:
 
     @pytest.mark.parametrize("scenario", ["synthetic", "siso", "quadrotor_payload"])
     def test_certificate_matches_row_loop(self, scenario):
-        plant, spec, cfg = cli.build(cli.load_scenario(scenario, ["sim.t_final=2.0"]))
+        plant, spec, cfg = shipped(scenario, "sim.t_final=2.0")
         trace = simulate(plant, spec, cfg)
         cert = lyapunov_certificate(trace, spec.core, plant, spec.epsilon)
         V = _certificate_oracle(trace, spec.core, plant)

@@ -39,6 +39,9 @@ class TestBuildCore:
         assert angle < 1e-8
         np.testing.assert_allclose(siso_core.lam_diag, [1.0], atol=1e-10)
 
+    def test_f16_scenario_ships_the_published_gain(self, f16_core):
+        assert np.array_equal(f16_core.K, F16_K)
+
     def test_f16_output_matrix(self, f16_core):
         # matches the published 4x2 matrix entrywise up to column sign
         for j in range(2):

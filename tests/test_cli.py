@@ -667,3 +667,10 @@ class TestOutputs:
         assert len(written) >= 3 * len(BUNDLED)
         for path in written:
             json.loads(path.read_text(), parse_constant=reject)
+
+    def test_unserializable_value_refused(self, tmp_path):
+        # only arrays and numpy scalars are converted; anything else json cannot write is refused
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError, match=r"^not JSON-serializable: <class 'complex'>$"):
+            cli._write_json(path, {"response": 1j})
+        assert not path.exists()

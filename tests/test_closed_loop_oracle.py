@@ -31,6 +31,8 @@ from scipy.integrate import solve_ivp  # noqa: E402
 
 from asdinv import cli, make_controller, simulate  # noqa: E402
 
+from conftest import shipped  # noqa: E402
+
 T_FINAL = 1.0
 
 # bound on the relative error of x; beside it, the measured PI / observer
@@ -77,7 +79,7 @@ def oracle_x(plant, spec, x0, t_eval):
 @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
 @pytest.mark.parametrize("name", list(BOUNDS))
 def test_rk4_trace_against_dop853(name, kind):
-    plant, spec, cfg = cli.build(cli.load_scenario(name, (f"sim.t_final={T_FINAL}",)))
+    plant, spec, cfg = shipped(name, f"sim.t_final={T_FINAL}")
     assert plant.input_delay == 0
     spec = dataclasses.replace(spec, realization_kind=kind)
     trace = simulate(plant, spec, cfg)
@@ -122,7 +124,7 @@ def oracle_delay_x(plant, spec, x0, t_eval):
 
 @pytest.mark.parametrize("kind", ["pi_closed", "observer"])
 def test_delayed_rk4_trace_against_method_of_steps(kind):
-    plant, spec, cfg = cli.build(cli.load_scenario("delay_demo", (f"sim.t_final={T_FINAL}",)))
+    plant, spec, cfg = shipped("delay_demo", f"sim.t_final={T_FINAL}")
     assert plant.input_delay > 0
     spec = dataclasses.replace(spec, realization_kind=kind)
     trace = simulate(plant, spec, cfg)

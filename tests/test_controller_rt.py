@@ -18,7 +18,7 @@ from asdinv import (
 )
 from asdinv import cli, controller_rt
 
-from conftest import spec_for
+from conftest import shipped, spec_for
 
 
 class TestGains:
@@ -68,7 +68,7 @@ class TestSpec:
     def test_accepted_epsilon_gives_finite_realizations(self, scenario):
         # the PI gains first overflow between 5e-307 (f16) and 6e-309 (synthetic);
         # wherever they are finite, so is every matrix of both realizations
-        core = cli.build(cli.load_scenario(scenario))[1].core
+        core = shipped(scenario)[1].core
         accepted = 0
         for epsilon in np.logspace(-305, -310, 51):
             try:

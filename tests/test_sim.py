@@ -24,7 +24,7 @@ from asdinv import (
     synthetic_lti,
 )
 
-from conftest import spec_for
+from conftest import shipped, spec_for
 
 
 def reference_simulate(plant, spec, cfg, with_decomposition=False):
@@ -112,10 +112,6 @@ def reference_simulate(plant, spec, cfg, with_decomposition=False):
     return fields, blowup_time
 
 
-def bundled_case(name, t_final=0.5):
-    return cli.build(cli.load_scenario(name, (f"sim.t_final={t_final}",)))
-
-
 def delay_case(tau):
     plant = delayed_input_lti(tau, g=1.0, S=np.array([[0.05, 0.05]]), d_amp=0.1, d_freq=1.0)
     core = build_core(plant.A0, plant.B, [-0.5, -1.0], [-1.0])
@@ -123,7 +119,7 @@ def delay_case(tau):
     return plant, spec_for(core, 0.02, -2.0, 2.0), cfg
 
 
-ORACLE_CASES = {name: (lambda name=name: bundled_case(name)) for name in cli.BUNDLED}
+ORACLE_CASES = {name: (lambda name=name: shipped(name, "sim.t_final=0.5")) for name in cli.BUNDLED}
 ORACLE_CASES["delay_tau_half_dt"] = lambda: delay_case(5e-4)
 ORACLE_CASES["delay_tau_0.05"] = lambda: delay_case(0.05)
 # the delay ring's edge: tau an exact multiple of dt (20 * 1e-3 == 0.02), one ulp
@@ -136,7 +132,7 @@ ORACLE_CASES["delay_tau_12.3dt"] = lambda: delay_case(0.0123)
 
 def stride_case(extra):
     """siso (saturated at t = 0) recording every nsteps + extra steps."""
-    plant, spec, cfg = bundled_case("siso")
+    plant, spec, cfg = shipped("siso", "sim.t_final=0.5")
     return plant, spec, dataclasses.replace(cfg, record_stride=round(cfg.t_final / cfg.dt) + extra)
 
 
@@ -335,6 +331,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(plant, spec_for(siso_core, 0.1, -5, 5), cfg)
 
+    def test_x0_of_another_length_rejected(self, siso_plant, siso_core):
+        cfg = SimConfig(dt=1e-3, t_final=0.1, x0=np.zeros(2))
+        with pytest.raises(ValueError, match=r"^x0 must have length 3$"):
+            simulate(siso_plant, spec_for(siso_core, 0.1, -5, 5), cfg)
+
     def test_delayed_input_uses_past_u(self):
         tau = 0.05
         plant = delayed_input_lti(tau, g=1.0, d_amp=0.0)
@@ -438,7 +439,7 @@ class TestStiffnessGuard:
 
     def test_filter_pole_warns(self):
         # the filter pole near -1/epsilon = -5000 gives dt * rho = 5 at dt = 1e-3
-        plant, spec, cfg = bundled_case("synthetic", t_final=0.002)
+        plant, spec, cfg = shipped("synthetic", "sim.t_final=0.002")
         spec = dataclasses.replace(spec, epsilon=2e-4)
         assert cfg.dt == 1e-3
         with pytest.warns(UserWarning, match="RK4 may be unstable"):
@@ -446,7 +447,7 @@ class TestStiffnessGuard:
 
     @pytest.mark.parametrize("name", cli.BUNDLED)
     def test_bundled_scenarios_do_not_warn(self, name):
-        plant, spec, cfg = bundled_case(name, t_final=0.01)
+        plant, spec, cfg = shipped(name, "sim.t_final=0.01")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             simulate(plant, spec, cfg)
@@ -455,7 +456,7 @@ class TestStiffnessGuard:
     def test_guard_reads_the_running_controller(self, realization_calls, kind):
         # each run builds the controller it runs from its spec's quadruple; the guard reads
         # the spec's closed realization, which the first run closes once
-        plant, spec, cfg = bundled_case("siso", t_final=0.01)
+        plant, spec, cfg = shipped("siso", "sim.t_final=0.01")
         run_spec = dataclasses.replace(spec, realization_kind=kind)
         simulate(plant, run_spec, cfg)
         simulate(plant, run_spec, cfg)
@@ -469,7 +470,7 @@ class TestStiffnessGuard:
         # and each two-step run returns or diverges, with no numpy error escaping
         runs, inf_warnings = 0, 0
         for name in cli.BUNDLED:
-            plant, spec, cfg = bundled_case(name)
+            plant, spec, cfg = shipped(name)
             cfg = dataclasses.replace(cfg, t_final=2 * cfg.dt)
             for epsilon in np.logspace(-305, -310, 51):
                 for kind in ("pi_closed", "observer"):
@@ -530,6 +531,12 @@ class TestMetrics:
                    sat=np.zeros(1, dtype=bool))
         with pytest.raises(ValueError, match=r"^energy index needs at least two samples$"):
             energy_index(tr)
+
+    def test_metrics_need_a_sample(self):
+        z = np.zeros((0, 1))
+        tr = Trace(t=np.zeros(0), x=z, u=z, y=z, d_hat=z, sat=np.zeros(0, dtype=bool))
+        with pytest.raises(ValueError, match=r"^empty trace$"):
+            metrics(tr)
 
     def test_metrics_fields(self, siso_trace):
         m = metrics(siso_trace)
@@ -592,7 +599,7 @@ class TestMemory:
     def test_record_byte_budget(self):
         # quadrotor observer with y_s: dim = 9 + 6 + 3 + 3, so (21 + 3) * 8 + 1 = 193 bytes
         # a row; 9e6 + 1 rows (under SimConfig's 10**7 cap) take 1 737 000 193 > 2**30 bytes
-        plant, spec, cfg = bundled_case("quadrotor")
+        plant, spec, cfg = shipped("quadrotor")
         spec = dataclasses.replace(spec, realization_kind="observer")
         cfg = dataclasses.replace(cfg, dt=1e-3, t_final=9000.0, record_stride=1)
         tracemalloc.start()
