@@ -34,8 +34,8 @@ class LinearCore:
 
     Invariants (established by build_core): A = A0 + B K^T is Hurwitz
     with a real spectrum, C has unit-norm columns with C^T A = -Lambda C^T,
-    C^T B invertible (see verify_theorem1), and P A + A^T P = -I with
-    P > 0 (Theorem 2's Lyapunov weight M is the identity).
+    C^T B invertible (CtB_inv is its one refusal; build_core reads it), and
+    P A + A^T P = -I with P > 0 (Theorem 2's Lyapunov weight M is the identity).
     """
 
     n: int
@@ -53,9 +53,10 @@ class LinearCore:
 
     @cached_property
     def CtB_inv(self) -> np.ndarray:
-        """(C^T B)^-1, once per core; DesignError unless theorem1 finds C^T B invertible."""
+        """(C^T B)^-1, once per core; the one DesignError for a C^T B that theorem1 finds singular."""
         if not self.theorem1.checks["ctb_invertible"]:
-            raise DesignError("C^T B is numerically singular")
+            raise DesignError(f"sigma_min(C^T B) <= {RANK_RTOL:.0e} ||C|| ||B||; "
+                              "the selected eigenvectors do not give an invertible transfer path")
         return np.linalg.inv(self.CtB)
 
     @property
@@ -64,7 +65,7 @@ class LinearCore:
 
     @cached_property
     def theorem1(self) -> StructureReport:
-        """verify_theorem1(self), computed once per core; build_core reads it first."""
+        """verify_theorem1(self), computed once per core; CtB_inv reads it first."""
         return verify_theorem1(self)
 
 
@@ -138,15 +139,10 @@ def build_core(
     P = solve_lyapunov(A, np.eye(n))
 
     core = LinearCore(n=n, m=m, B=B, K=K, A=A, C=C, Lam=Lam, P=P)
-    report = core.theorem1
-    if not report.checks["ctb_invertible"]:
+    core.CtB_inv  # refuses a singular C^T B, and inverts it once per design
+    if not core.theorem1.checks["output_identity"]:
         raise DesignError(
-            f"sigma_min(C^T B) <= {RANK_RTOL:.0e} ||C|| ||B||; "
-            "the selected eigenvectors do not give an invertible transfer path"
-        )
-    if not report.checks["output_identity"]:
-        raise DesignError(
-            f"C^T A + Lambda C^T residual {report.theorem1_residual:.3e} exceeds tolerance"
+            f"C^T A + Lambda C^T residual {core.theorem1.theorem1_residual:.3e} exceeds tolerance"
         )
     return core
 

@@ -22,7 +22,7 @@ class NonFiniteState(AsdinvError):
 
 
 class MissingConstants(AsdinvError):
-    pass
+    """The bound command cannot run (exit 5): no assumption constants given, or an input delay."""
 
 
 class ConfigError(AsdinvError):

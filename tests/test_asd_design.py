@@ -3,6 +3,7 @@ realization, structural verification, and the additive output split
 y = y_p + y_s that simulate(..., with_decomposition=True) records."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -237,7 +238,11 @@ class TestCtbOnce:
         b = siso_core.B - siso_core.C @ (siso_core.C.T @ siso_core.B)
         core = dataclasses.replace(siso_core, B=b)
         assert not core.theorem1.checks["ctb_invertible"]
-        singular = r"^C\^T B is numerically singular$"
+        # build_core's own refusal, word for word: CtB_inv is the one place that raises it
+        singular = "^" + re.escape(
+            "sigma_min(C^T B) <= 1e-10 ||C|| ||B||; "
+            "the selected eigenvectors do not give an invertible transfer path"
+        ) + "$"
         with pytest.raises(DesignError, match=singular):
             core.CtB_inv
         with pytest.raises(DesignError, match=singular):

@@ -10,6 +10,7 @@ import pytest
 from asdinv import cli, sim
 from asdinv import (
     ConfigError,
+    ControllerSpec,
     NonFiniteState,
     SimConfig,
     Trace,
@@ -302,6 +303,21 @@ class TestSimulate:
         y = siso_trace.y
         err = np.max(np.abs(siso_trace.y_p + siso_trace.y_s - y))
         assert err <= 1e-6 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("name", cli.BUNDLED)
+    def test_decomposition_and_unbinding_limits_leave_the_loop_unchanged(self, name):
+        # y_s never feeds back, and limits that never bind do not act: the scenario's run
+        # with y_s recorded equals the unsaturated PI run without it, bit for bit, on
+        # every scenario whose limits never bind; siso saturates on every row
+        plant, spec, cfg = shipped(name, "sim.t_final=0.5")
+        decomposed = simulate(plant, spec, cfg, True)
+        wide = simulate(plant, ControllerSpec(spec.core, spec.epsilon, -1e9, 1e9), cfg)
+        assert np.count_nonzero(decomposed.sat) == (51 if name == "siso" else 0)
+        if name == "siso":
+            assert not np.array_equal(decomposed.x, wide.x)
+            return
+        for field in ("t", "x", "u", "y", "d_hat", "sat", "y_p"):
+            assert np.array_equal(getattr(decomposed, field), getattr(wide, field)), field
 
     def test_disturbance_estimate_tracks(self, synthetic_trace, synthetic_core, synthetic_plant):
         # with a small filter constant the estimate converges to the true
